@@ -35,6 +35,10 @@ namespace sparker::comm {
 template <typename V>
 struct SegOps {
   /// splitOp: produce segment `seg` of `nseg` from the rank's local value.
+  /// Collectives call it on demand, when a segment is first sent or reduced
+  /// into, at any point while they run, and only on attempts that reach
+  /// that point. It must be pure, and the local value must not change until
+  /// the collective returns.
   std::function<V(int seg, int nseg)> split;
   /// reduceOp: fold `src` into `dst`.
   std::function<void(V& dst, const V& src)> reduce_into;
@@ -60,6 +64,10 @@ sim::Duration merge_cost(const SegOps<V>& ops, std::uint64_t bytes) {
 
 /// One channel-thread of the parallel ring reduce-scatter: thread `t` of
 /// rank `rank` reduces segments [t*N, (t+1)*N) using channel `t` only.
+/// Each local segment is split on first use — when it is sent, or when the
+/// incoming partial is reduced into it — and leaves the thread when it is
+/// sent, so a thread holds about one segment at a time rather than N. Every
+/// segment is still split exactly once, from the same local value.
 template <typename V>
 sim::Task<void> ring_rs_worker(Communicator& c, int rank, int t,
                                const SegOps<V>& ops, int nseg_total,
@@ -79,19 +87,21 @@ sim::Task<void> ring_rs_worker(Communicator& c, int rank, int t,
   // after the WaitGroup resolves.
   try {
     const int n = c.size();
-    std::vector<V> cur;
-    cur.reserve(static_cast<std::size_t>(n));
-    for (int j = 0; j < n; ++j) {
-      cur.push_back(ops.split(t * n + j, nseg_total));
-    }
+    std::vector<std::optional<V>> cur(static_cast<std::size_t>(n));
+    auto seg = [&](int j) -> V& {
+      std::optional<V>& s = cur[static_cast<std::size_t>(j)];
+      if (!s) s.emplace(ops.split(t * n + j, nseg_total));
+      return *s;
+    };
     for (int k = 0; k + 1 < n; ++k) {
       const int send_idx = ((rank - k) % n + n) % n;
       const int recv_idx = ((rank - k - 1) % n + n) % n;
       Message m;
       m.tag = k;
-      m.bytes = ops.bytes(cur[static_cast<std::size_t>(send_idx)]);
-      m.payload = std::make_shared<V>(
-          std::move(cur[static_cast<std::size_t>(send_idx)]));
+      V& outgoing = seg(send_idx);
+      m.bytes = ops.bytes(outgoing);
+      m.payload = std::make_shared<V>(std::move(outgoing));
+      cur[static_cast<std::size_t>(send_idx)].reset();
       if (tr) {
         tr->instant("reduce", "ring.send", pid, t,
                     {{"rank", rank},
@@ -111,10 +121,10 @@ sim::Task<void> ring_rs_worker(Communicator& c, int rank, int t,
       }
       const V& incoming = *std::static_pointer_cast<V>(in.payload);
       co_await c.simulator().sleep(merge_cost(ops, in.bytes));
-      ops.reduce_into(cur[static_cast<std::size_t>(recv_idx)], incoming);
+      ops.reduce_into(seg(recv_idx), incoming);
     }
     const int own = (rank + 1) % n;
-    out = {t * n + own, std::move(cur[static_cast<std::size_t>(own)])};
+    out = {t * n + own, std::move(seg(own))};
   } catch (...) {
     failed = true;
     if (!error) error = std::current_exception();

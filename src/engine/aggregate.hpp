@@ -43,6 +43,12 @@ namespace sparker::engine {
 template <typename T, typename U>
 struct TreeAggSpec {
   U zero{};
+  /// seqOp: folds one row into a task aggregator that starts from `zero`.
+  /// The engine folds a partition only for the attempt that delivers its
+  /// result, at the point that result is merged or shipped (under IMM,
+  /// inside the executor's merge lock); losing speculative duplicates and
+  /// failed attempts never fold. It must therefore be pure — a function of
+  /// the aggregator and the row only — as CachedRdd generators must be.
   std::function<void(U&, const T&)> seq_op;
   std::function<void(U&, const U&)> comb_op;
   /// Modeled serialized size of an aggregator.
@@ -55,7 +61,8 @@ struct TreeAggSpec {
 template <typename T, typename U, typename V>
 struct SplitAggSpec {
   TreeAggSpec<T, U> base;
-  /// splitOp: segment `i` of `n` from an aggregator.
+  /// splitOp: segment `i` of `n` from an aggregator. Collectives split on
+  /// demand (see comm::SegOps::split), so it must be pure.
   std::function<V(const U&, int i, int n)> split_op;
   /// reduceOp on segments.
   std::function<void(V&, const V&)> reduce_op;
@@ -222,6 +229,14 @@ comm::SegOps<V> make_seg_ops(Cluster& cl, int job, comm::AlgoId algo,
   const bool comp_on =
       algo == comm::AlgoId::kSparseRing && static_cast<bool>(spec.encode_op);
   comm::SegOps<V> ops;
+  // `split` reads `*local` for the whole collective, because the ring
+  // algorithms split each segment when they first send or reduce into it.
+  // Nothing replaces or mutates a rank's local value while its collective
+  // workers are live: the stage awaits every rank task, and each rank task
+  // awaits all of its channel workers (as comm::run_all_ranks does), before
+  // a failure is rethrown. Refold, migration and overlapped recovery — the
+  // only paths that comb_op into or reset per-executor values — run after
+  // that, between attempts.
   if (comp_on) {
     ops.split = [&spec, &local](int seg, int nseg) {
       return spec.encode_op(spec.split_op(*local, seg, nseg));
@@ -287,17 +302,20 @@ inline int schedule_executor(Cluster& cl, int preferred) {
   throw std::runtime_error("no usable executor to schedule task on");
 }
 
-/// Dispatch + control hop + core slot + task setup, then the real seqOp
-/// fold over the partition. Throws TaskFailed per the fault plan, or when
-/// the fault fabric kills the executor before the task result is reported
-/// (that check is deliberately omniscient: a lost result is a physical
-/// fact, not a belief). If `ran_on` is non-null it receives the executor
-/// the task ran on; `force_exec >= 0` pins the attempt to one executor
-/// (speculative duplicates bypass locality preference).
+/// One modeled task attempt: dispatch + control hop + core slot + task
+/// setup, then the partition's modeled compute time. It models time and
+/// faults only — the real seqOp fold is fold_partition, which each consumer
+/// runs where it needs the value. Throws TaskFailed per the fault plan, or
+/// when the fault fabric kills the executor before the task result is
+/// reported (that check is deliberately omniscient: a lost result is a
+/// physical fact, not a belief). If `ran_on` is non-null it receives the
+/// executor the task runs on as soon as it is scheduled; `force_exec >= 0`
+/// pins the attempt to one executor (speculative duplicates bypass locality
+/// preference).
 template <typename T, typename U>
-sim::Task<U> compute_attempt(Cluster& cl, CachedRdd<T>& rdd,
-                             const TreeAggSpec<T, U>& spec, TaskId id,
-                             int* ran_on = nullptr, int force_exec = -1) {
+sim::Task<void> compute_attempt(Cluster& cl, CachedRdd<T>& rdd,
+                                const TreeAggSpec<T, U>& spec, TaskId id,
+                                int* ran_on = nullptr, int force_exec = -1) {
   const int exec_id =
       force_exec >= 0 ? force_exec
                       : schedule_executor(cl, rdd.preferred_executor(id.task));
@@ -318,11 +336,9 @@ sim::Task<U> compute_attempt(Cluster& cl, CachedRdd<T>& rdd,
   co_await ex.cores().acquire();
   sim::SemaphoreGuard slot(ex.cores());
   co_await cl.simulator().sleep(cl.spec().rates.task_overhead);
-  const auto& part = rdd.partition(id.task);
-  U agg = spec.zero;
-  for (const T& row : part) spec.seq_op(agg, row);
-  Duration cost =
-      spec.partition_cost ? spec.partition_cost(id.task, part) : Duration{0};
+  Duration cost = spec.partition_cost
+                      ? spec.partition_cost(id.task, rdd.partition(id.task))
+                      : Duration{0};
   cost = static_cast<Duration>(static_cast<double>(cost) *
                                cl.config().stragglers.factor(exec_id) /
                                cl.spec().rates.core_speed);
@@ -336,24 +352,39 @@ sim::Task<U> compute_attempt(Cluster& cl, CachedRdd<T>& rdd,
   cl.metrics().histogram("task.duration_ns")
       .observe(static_cast<std::int64_t>(cl.simulator().now() - attempt_start));
   tr.end(span);
-  co_return agg;
+}
+
+/// The real work of a task: seqOp over partition `pid`, from `spec.zero`.
+/// Consumers call it at the point they merge or ship the result — after
+/// their attempt has won, and under IMM inside the executor's merge lock —
+/// so only the delivering attempt of a task folds, and a task aggregator
+/// lives from its fold to its merge. Real folds cost no simulated time;
+/// compute_attempt charges the modeled time.
+template <typename T, typename U>
+U fold_partition(CachedRdd<T>& rdd, const TreeAggSpec<T, U>& spec, int pid) {
+  U agg = spec.zero;
+  for (const T& row : rdd.partition(pid)) spec.seq_op(agg, row);
+  return agg;
 }
 
 /// Task-level retry loop (vanilla Spark semantics: failed tasks rerun
-/// individually). `stage` distinguishes recomputation of lost partials
-/// (stage 1) from the original compute stage for FaultPlan rules.
+/// individually) around compute_attempt; the caller folds the partition
+/// once this returns. `stage` distinguishes recomputation of lost partials
+/// (stage 1) from the original compute stage for FaultPlan rules. If
+/// `ran_on` is non-null it receives the executor the successful attempt ran
+/// on.
 template <typename T, typename U>
-sim::Task<U> compute_with_retry(Cluster& cl, CachedRdd<T>& rdd,
-                                const TreeAggSpec<T, U>& spec, int job,
-                                int task, AggMetrics* m, int stage = 0,
-                                int* ran_on = nullptr) {
+sim::Task<void> compute_with_retry(Cluster& cl, CachedRdd<T>& rdd,
+                                   const TreeAggSpec<T, U>& spec, int job,
+                                   int task, AggMetrics* m, int stage = 0,
+                                   int* ran_on = nullptr) {
   for (int attempt = 0;; ++attempt) {
     int exec = -1;
     try {
-      U out = co_await compute_attempt(
-          cl, rdd, spec, TaskId{job, stage, task, attempt}, &exec);
+      co_await compute_attempt(cl, rdd, spec,
+                               TaskId{job, stage, task, attempt}, &exec);
       if (ran_on) *ran_on = exec;
-      co_return out;
+      co_return;
     } catch (const TaskFailed&) {
       if (exec >= 0) cl.health().record_failure(exec);
       if (m) ++m->task_retries;
@@ -475,9 +506,11 @@ sim::Task<std::vector<Blob<U>>> compute_stage_plain(
                               Blob<U>& slot, AggMetrics* m, sim::WaitGroup& wg,
                               std::exception_ptr& error) {
       try {
-        U agg = co_await compute_with_retry(cl, rdd, spec, job, task, m);
+        int exec_id = -1;
+        co_await compute_with_retry(cl, rdd, spec, job, task, m, /*stage=*/0,
+                                    &exec_id);
+        U agg = fold_partition(rdd, spec, task);
         const std::uint64_t nbytes = spec.bytes(agg);
-        const int exec_id = rdd.preferred_executor(task);
         // Vanilla Spark: each task serializes its result immediately upon
         // completion (exactly the overhead IMM removes).
         const obs::SpanId ser = cl.trace().begin(
@@ -496,9 +529,9 @@ sim::Task<std::vector<Blob<U>>> compute_stage_plain(
     }
   };
   /// One racing attempt (primary or speculative duplicate). Only the
-  /// claiming winner touches stage-frame state (slot, wg, error, m); a
-  /// loser resumes later — possibly after the stage frame is gone — and
-  /// touches only `race` and `attempts`.
+  /// claiming winner folds the partition and touches stage-frame state
+  /// (slot, wg, error, m); a loser resumes later — possibly after the stage
+  /// frame is gone — and touches only `race` and `attempts`.
   struct RaceWorker {
     static sim::Task<void> go(Cluster& cl, CachedRdd<T>& rdd,
                               const TreeAggSpec<T, U>& spec, int job, int task,
@@ -508,23 +541,25 @@ sim::Task<std::vector<Blob<U>>> compute_stage_plain(
                               std::exception_ptr& error) {
       const bool speculative = force_exec >= 0;
       SpecRace::TaskState& ts = race->tasks[static_cast<std::size_t>(task)];
-      std::optional<U> agg;
+      bool finished = false;
       int ran_exec = -1;
       if (speculative) {
         try {
-          agg.emplace(co_await compute_attempt(
+          co_await compute_attempt(
               cl, rdd, spec, TaskId{job, 0, task, kSpeculativeAttempt},
-              &ran_exec, force_exec));
+              &ran_exec, force_exec);
+          finished = true;
         } catch (...) {
           // A failed duplicate loses quietly: the primary is still racing.
         }
       } else {
         for (int attempt = 0;; ++attempt) {
           try {
-            agg.emplace(co_await compute_attempt(
-                cl, rdd, spec, TaskId{job, 0, task, attempt},
-                &ts.primary_exec));
+            co_await compute_attempt(cl, rdd, spec,
+                                     TaskId{job, 0, task, attempt},
+                                     &ts.primary_exec);
             ran_exec = ts.primary_exec;
+            finished = true;
             break;
           } catch (const TaskFailed&) {
             if (ts.done) break;  // the duplicate already won; stop retrying.
@@ -541,12 +576,21 @@ sim::Task<std::vector<Blob<U>>> compute_stage_plain(
               attempts.done();
               co_return;
             }
+          } catch (...) {
+            // Not a modeled fault (no usable executor): abort the job, as
+            // the IMM race does, instead of escaping a detached task.
+            if (race->claim(task)) {
+              if (!error) error = std::current_exception();
+              wg.done();
+            }
+            attempts.done();
+            co_return;
           }
         }
       }
-      if (!agg || !race->claim(task)) {
+      if (!finished || !race->claim(task)) {
         attempts.done();
-        co_return;  // lost the race.
+        co_return;  // lost the race: never fold.
       }
       race->durations.push_back(cl.simulator().now() - ts.launched);
       if (speculative) {
@@ -556,7 +600,8 @@ sim::Task<std::vector<Blob<U>>> compute_stage_plain(
         if (ts.primary_exec >= 0) cl.health().record_straggler(ts.primary_exec);
       }
       try {
-        const std::uint64_t nbytes = spec.bytes(*agg);
+        U agg = fold_partition(rdd, spec, task);
+        const std::uint64_t nbytes = spec.bytes(agg);
         const obs::SpanId ser = cl.trace().begin(
             "ser", "ser.result", obs::exec_pid(ran_exec), task,
             {{"job", job}, {"bytes", static_cast<std::int64_t>(nbytes)}});
@@ -564,7 +609,7 @@ sim::Task<std::vector<Blob<U>>> compute_stage_plain(
         cl.trace().end(ser);
         co_await cl.simulator().sleep(cl.control_latency(ran_exec));
         (void)cl.driver_loop().enqueue(sim::microseconds(50));
-        slot = Blob<U>{std::make_shared<U>(std::move(*agg)), nbytes, ran_exec,
+        slot = Blob<U>{std::make_shared<U>(std::move(agg)), nbytes, ran_exec,
                        /*serialized=*/true};
       } catch (...) {
         if (!error) error = std::current_exception();
@@ -616,6 +661,28 @@ sim::Task<std::vector<Blob<U>>> compute_stage_plain(
   co_return out;
 }
 
+/// The IMM merge of one task result, run by the task's delivering attempt
+/// while it holds the executor's merge lock: the partition is folded here,
+/// merged into the shared value, and the task aggregator is destroyed
+/// before the caller's status-update hop. The lock therefore bounds live
+/// task aggregators at one per executor, beside the shared value.
+template <typename T, typename U>
+sim::Task<void> merge_task_result(Cluster& cl, CachedRdd<T>& rdd,
+                                  const TreeAggSpec<T, U>& spec, int job,
+                                  int task, int exec_id,
+                                  Executor::MutableObject& obj) {
+  if (!obj.value) obj.value = std::make_shared<U>(spec.zero);
+  U agg = fold_partition(rdd, spec, task);
+  const std::uint64_t mbytes = spec.bytes(agg);
+  const obs::SpanId merge = cl.trace().begin(
+      "reduce", "imm.merge", obs::exec_pid(exec_id), task,
+      {{"job", job}, {"bytes", static_cast<std::int64_t>(mbytes)}});
+  co_await cl.simulator().sleep(cl.merge_cost(mbytes));
+  spec.comb_op(*std::static_pointer_cast<U>(obj.value), agg);
+  ++obj.merges;
+  cl.trace().end(merge);
+}
+
 /// Reduced-result stage (In-Memory Merge): task results fold into one
 /// shared value per executor, unserialized; any failure — an injected task
 /// fault, or an executor dying with partials merged into it — restarts the
@@ -652,22 +719,14 @@ sim::Task<std::vector<Blob<U>>> compute_stage_imm(
                                 std::exception_ptr& error) {
         int exec_id = -1;
         try {
-          U agg = co_await compute_attempt(
-              cl, rdd, spec, TaskId{job, 0, task, attempt}, &exec_id);
+          co_await compute_attempt(cl, rdd, spec,
+                                   TaskId{job, 0, task, attempt}, &exec_id);
           ran_on = exec_id;
           Executor& ex = cl.executor(exec_id);
           auto& obj = ex.mutable_object(key, cl.simulator());
           co_await obj.lock->acquire();
           sim::SemaphoreGuard g(*obj.lock);
-          if (!obj.value) obj.value = std::make_shared<U>(spec.zero);
-          const std::uint64_t mbytes = spec.bytes(agg);
-          const obs::SpanId merge = cl.trace().begin(
-              "reduce", "imm.merge", obs::exec_pid(exec_id), task,
-              {{"job", job}, {"bytes", static_cast<std::int64_t>(mbytes)}});
-          co_await cl.simulator().sleep(cl.merge_cost(mbytes));
-          spec.comb_op(*std::static_pointer_cast<U>(obj.value), agg);
-          ++obj.merges;
-          cl.trace().end(merge);
+          co_await merge_task_result(cl, rdd, spec, job, task, exec_id, obj);
           // Status update carries only (executor id, object id).
           co_await cl.simulator().sleep(cl.control_latency(exec_id));
           (void)cl.driver_loop().enqueue(sim::microseconds(20));
@@ -681,10 +740,11 @@ sim::Task<std::vector<Blob<U>>> compute_stage_imm(
       }
     };
     /// Racing IMM attempt. The *claim happens before the merge*: exactly
-    /// one attempt per task ever merges into the executor's shared value,
-    /// which is what keeps speculation idempotent under IMM. Losers (and
-    /// zombies from a previous, failed stage attempt — whose race object
-    /// they keep alive) never merge and never touch stage-frame state.
+    /// one attempt per task ever folds and merges into the executor's
+    /// shared value, which is what keeps speculation idempotent under IMM.
+    /// Losers (and zombies from a previous, failed stage attempt — whose
+    /// race object they keep alive) never fold, never merge and never touch
+    /// stage-frame state.
     struct RaceWorker {
       static sim::Task<void> go(Cluster& cl, CachedRdd<T>& rdd,
                                 const TreeAggSpec<T, U>& spec, int job,
@@ -696,19 +756,18 @@ sim::Task<std::vector<Blob<U>>> compute_stage_imm(
                                 std::exception_ptr& error) {
         const bool speculative = force_exec >= 0;
         SpecRace::TaskState& ts = race->tasks[static_cast<std::size_t>(task)];
-        std::optional<U> agg;
         int exec_id = -1;
         const int attempt = speculative ? kSpeculativeAttempt + stage_attempt
                                         : stage_attempt;
         try {
           if (speculative) {
-            agg.emplace(co_await compute_attempt(
-                cl, rdd, spec, TaskId{job, 0, task, attempt}, &exec_id,
-                force_exec));
+            co_await compute_attempt(cl, rdd, spec,
+                                     TaskId{job, 0, task, attempt}, &exec_id,
+                                     force_exec);
           } else {
-            agg.emplace(co_await compute_attempt(
-                cl, rdd, spec, TaskId{job, 0, task, attempt},
-                &ts.primary_exec));
+            co_await compute_attempt(cl, rdd, spec,
+                                     TaskId{job, 0, task, attempt},
+                                     &ts.primary_exec);
             exec_id = ts.primary_exec;
           }
         } catch (const TaskFailed&) {
@@ -748,15 +807,7 @@ sim::Task<std::vector<Blob<U>>> compute_stage_imm(
           auto& obj = ex.mutable_object(key, cl.simulator());
           co_await obj.lock->acquire();
           sim::SemaphoreGuard g(*obj.lock);
-          if (!obj.value) obj.value = std::make_shared<U>(spec.zero);
-          const std::uint64_t mbytes = spec.bytes(*agg);
-          const obs::SpanId merge = cl.trace().begin(
-              "reduce", "imm.merge", obs::exec_pid(exec_id), task,
-              {{"job", job}, {"bytes", static_cast<std::int64_t>(mbytes)}});
-          co_await cl.simulator().sleep(cl.merge_cost(mbytes));
-          spec.comb_op(*std::static_pointer_cast<U>(obj.value), *agg);
-          ++obj.merges;
-          cl.trace().end(merge);
+          co_await merge_task_result(cl, rdd, spec, job, task, exec_id, obj);
           co_await cl.simulator().sleep(cl.control_latency(exec_id));
           (void)cl.driver_loop().enqueue(sim::microseconds(20));
           ran_on = exec_id;
@@ -993,10 +1044,11 @@ sim::Task<void> refold_partials(Cluster& cl, CachedRdd<T>& rdd,
                       {"partitions", static_cast<std::int64_t>(lost.size())}}));
     for (int pid : lost) {
       int ran_on = -1;
-      U agg = co_await compute_with_retry(cl, rdd, spec.base, job, pid, m,
-                                          /*stage=*/1, &ran_on);
+      co_await compute_with_retry(cl, rdd, spec.base, job, pid, m,
+                                  /*stage=*/1, &ran_on);
       auto& dst = per_exec[static_cast<std::size_t>(ran_on)];
       if (!dst) dst = std::make_shared<U>(spec.base.zero);
+      const U agg = fold_partition(rdd, spec.base, pid);
       co_await cl.simulator().sleep(cl.merge_cost(spec.base.bytes(agg)));
       spec.base.comb_op(*dst, agg);
       owned[static_cast<std::size_t>(ran_on)].push_back(pid);
@@ -1209,11 +1261,12 @@ sim::Task<void> recover_between_attempts(
               if (target < 0) break;  // nowhere to place it right now.
               try {
                 int ran_on = -1;
-                U agg = co_await compute_attempt(
-                    cl, rdd, spec.base, TaskId{job, 1, pid, attempt},
-                    &ran_on, target);
+                co_await compute_attempt(cl, rdd, spec.base,
+                                         TaskId{job, 1, pid, attempt},
+                                         &ran_on, target);
                 auto& dst = per_exec[static_cast<std::size_t>(ran_on)];
                 if (!dst) dst = std::make_shared<U>(spec.base.zero);
+                const U agg = fold_partition(rdd, spec.base, pid);
                 co_await cl.simulator().sleep(
                     cl.merge_cost(spec.base.bytes(agg)));
                 spec.base.comb_op(*dst, agg);

@@ -5,10 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "comm/collectives.hpp"
@@ -204,6 +206,77 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair{4, 2}, std::pair{5, 3}, std::pair{6, 4},
                       std::pair{7, 2}, std::pair{8, 4}, std::pair{12, 4},
                       std::pair{16, 8}, std::pair{17, 3}));
+
+// A segment that counts its live instances.
+struct CountedSeg {
+  static inline int live = 0;
+  static inline int peak = 0;
+  Vec v;
+
+  CountedSeg() { born(); }
+  explicit CountedSeg(Vec x) : v(std::move(x)) { born(); }
+  CountedSeg(const CountedSeg& o) : v(o.v) { born(); }
+  CountedSeg(CountedSeg&& o) noexcept : v(std::move(o.v)) { born(); }
+  CountedSeg& operator=(const CountedSeg&) = default;
+  CountedSeg& operator=(CountedSeg&&) = default;
+  ~CountedSeg() { --live; }
+
+  static void born() { peak = std::max(peak, ++live); }
+};
+
+TEST(RingReduceScatter, SplitsEachSegmentOnceOnDemand) {
+  // The ring splits a local segment when it first sends or reduces into
+  // it, so a rank holds O(channels) segments at a time, not O(N) per
+  // channel, and still splits each of its P*N segments exactly once.
+  const int n = 16;
+  const int p = 2;
+  const int len = n * p * 3;
+  World w(n, p);
+  std::vector<Vec> locals;
+  for (int r = 0; r < n; ++r) locals.push_back(make_value(r, len));
+  std::vector<std::vector<int>> splits(static_cast<std::size_t>(n),
+                                       std::vector<int>(n * p, 0));
+  std::vector<std::vector<Seg<CountedSeg>>> got(static_cast<std::size_t>(n));
+  CountedSeg::peak = CountedSeg::live;
+  const int baseline = CountedSeg::live;
+  auto body = [&](int rank) -> Task<void> {
+    SegOps<CountedSeg> ops;
+    ops.split = [&, rank](int seg, int nseg) {
+      ++splits[static_cast<std::size_t>(rank)][static_cast<std::size_t>(seg)];
+      const Vec& local = locals[static_cast<std::size_t>(rank)];
+      auto [lo, hi] = slice_bounds(len, seg, nseg);
+      return CountedSeg(Vec(local.begin() + lo, local.begin() + hi));
+    };
+    ops.reduce_into = [](CountedSeg& dst, const CountedSeg& src) {
+      for (std::size_t i = 0; i < dst.v.size(); ++i) dst.v[i] += src.v[i];
+    };
+    ops.bytes = [](const CountedSeg& s) {
+      return s.v.size() * sizeof(std::int64_t);
+    };
+    got[static_cast<std::size_t>(rank)] =
+        co_await ring_reduce_scatter(*w.c, rank, ops);
+  };
+  w.sim->run_task(run_all_ranks(*w.c, body));
+
+  for (const auto& per_rank : splits) {
+    EXPECT_EQ(per_rank, std::vector<int>(static_cast<std::size_t>(n * p), 1));
+  }
+  // Per rank and channel: the segment being reduced into, the one in
+  // flight to the successor, and a moved-from shell while a send or the
+  // final hand-off is under way. Splitting up front held N per channel.
+  EXPECT_LE(CountedSeg::peak - baseline, n * p * 3);
+  const Vec want = expected_sum(n, len);
+  for (int r = 0; r < n; ++r) {
+    ASSERT_EQ(got[static_cast<std::size_t>(r)].size(),
+              static_cast<std::size_t>(p));
+    for (const auto& [seg, s] : got[static_cast<std::size_t>(r)]) {
+      auto [lo, hi] = slice_bounds(len, seg, p * n);
+      EXPECT_EQ(s.v, Vec(want.begin() + lo, want.begin() + hi));
+    }
+  }
+  got.clear();
+  EXPECT_EQ(CountedSeg::live, baseline);
+}
 
 class HalvingRsCorrectness : public ::testing::TestWithParam<int> {};
 

@@ -1,12 +1,17 @@
 // Engine tests: RDD semantics, agreement of tree / tree+IMM / split
 // aggregation with a sequential reference, Spark's tree reduction schedule,
-// fault-injection semantics (task retry vs stage restart), stragglers, and
-// the timing relationships the paper's Figure 16 depends on.
+// fault-injection semantics (task retry vs stage restart), stragglers, the
+// timing relationships the paper's Figure 16 depends on, and the aggregator
+// lifetime contract (which attempt folds a partition, and how many task
+// aggregators are alive at once).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "engine/aggregate.hpp"
@@ -14,6 +19,7 @@
 #include "engine/config.hpp"
 #include "engine/rdd.hpp"
 #include "net/cluster.hpp"
+#include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 
 namespace sparker::engine {
@@ -428,6 +434,336 @@ TEST(Determinism, RepeatedRunsGiveIdenticalTimings) {
   EXPECT_EQ(a.start, b.start);
   EXPECT_EQ(a.compute_done, b.compute_done);
   EXPECT_EQ(a.end, b.end);
+}
+
+TEST(TreeAggregate, ResultsAreAttributedToTheExecutorTheTaskRanOn) {
+  // Executor 1 is dead before the job starts, so its partitions are
+  // rescheduled onto a survivor. Each result's serialization, its status
+  // hop and the later fetch must be charged to the executor that ran the
+  // task, not to the partition's dead home.
+  Simulator sim;
+  EngineConfig cfg;
+  cfg.agg_mode = AggMode::kTree;
+  cfg.trace.enabled = true;
+  cfg.fault_schedule.kill_executor(0, /*executor=*/1);
+  Cluster cl(sim, small_spec(), cfg);
+  CachedRdd<std::int64_t> rdd(8, cl.num_executors(), row_gen(10));
+  auto spec = sum_spec(8);
+  const Vec want = sequential_reference(rdd, spec);
+  auto job = [&]() -> Task<Vec> {
+    co_return co_await tree_aggregate(cl, rdd, spec);
+  };
+  EXPECT_EQ(sim.run_task(job()), want);
+
+  std::vector<int> task_pid(8, -1);
+  for (const obs::TraceEvent& ev : cl.trace().events()) {
+    if (std::string(ev.name) == "task" && !ev.has_arg("failed")) {
+      task_pid[static_cast<std::size_t>(ev.arg("task"))] = ev.pid;
+    }
+  }
+  int results = 0;
+  int moved = 0;
+  for (const obs::TraceEvent& ev : cl.trace().events()) {
+    if (std::string(ev.name) != "ser.result") continue;
+    ++results;
+    const int task = ev.tid;
+    EXPECT_EQ(ev.pid, task_pid[static_cast<std::size_t>(task)])
+        << "task " << task;
+    if (rdd.preferred_executor(task) == 1) {
+      EXPECT_NE(ev.pid, obs::exec_pid(1)) << "task " << task;
+      ++moved;
+    }
+  }
+  EXPECT_EQ(results, 8);
+  EXPECT_EQ(moved, 2);
+}
+
+// ---------------------------------------------------------------------------
+// Aggregator lifetimes. A partition is folded only by the attempt that
+// delivers it, at the point the result is merged (IMM) or shipped (plain),
+// so an IMM executor holds its shared value plus at most the one task
+// aggregator being merged, and losing or failed attempts never fold.
+// ---------------------------------------------------------------------------
+
+// A Vec aggregator that counts its live instances.
+struct CountedVec {
+  static inline int live = 0;
+  static inline int peak = 0;
+  Vec v;
+
+  CountedVec() { born(); }
+  explicit CountedVec(Vec x) : v(std::move(x)) { born(); }
+  CountedVec(const CountedVec& o) : v(o.v) { born(); }
+  CountedVec(CountedVec&& o) noexcept : v(std::move(o.v)) { born(); }
+  CountedVec& operator=(const CountedVec&) = default;
+  CountedVec& operator=(CountedVec&&) = default;
+  ~CountedVec() { --live; }
+
+  static void born() { peak = std::max(peak, ++live); }
+};
+
+// split_sum_spec over CountedVec, with millisecond partition costs and
+// ~1 MiB modeled aggregators so tasks overlap on every core and merges
+// queue on the executors' merge locks.
+SplitAggSpec<std::int64_t, CountedVec, Vec> counted_split_spec(int dim) {
+  const auto plain = split_sum_spec(dim);
+  SplitAggSpec<std::int64_t, CountedVec, Vec> spec;
+  spec.base.zero = CountedVec(plain.base.zero);
+  spec.base.seq_op = [seq = plain.base.seq_op](CountedVec& u,
+                                               const std::int64_t& row) {
+    seq(u.v, row);
+  };
+  spec.base.comb_op = [comb = plain.base.comb_op](CountedVec& a,
+                                                  const CountedVec& b) {
+    comb(a.v, b.v);
+  };
+  spec.base.bytes = [](const CountedVec&) -> std::uint64_t { return 1 << 20; };
+  spec.base.partition_cost = [](int, const std::vector<std::int64_t>& rows) {
+    return sim::milliseconds(rows.size());
+  };
+  spec.split_op = [split = plain.split_op](const CountedVec& u, int seg,
+                                           int nseg) {
+    return split(u.v, seg, nseg);
+  };
+  spec.reduce_op = plain.reduce_op;
+  spec.concat_op = plain.concat_op;
+  spec.v_bytes = plain.v_bytes;
+  return spec;
+}
+
+TEST(AggregatorLifetimes, ImmStageHoldsAtMostTwoAggregatorsPerExecutor) {
+  for (const bool speculation : {false, true}) {
+    SCOPED_TRACE(speculation ? "speculation on" : "speculation off");
+    Simulator sim;
+    net::ClusterSpec s = small_spec();
+    s.cores_per_executor = 4;
+    Cluster cl(sim, s);
+    cl.config().agg_mode = AggMode::kSplit;
+    cl.config().sai_parallelism = 2;
+    if (speculation) {
+      cl.config().stragglers.slowdown[3] = 8.0;
+      cl.config().health.speculation = true;
+      cl.config().health.speculation_interval = sim::milliseconds(5);
+    }
+    // 200 ms tasks against 4 ms dispatches: every core is busy at once.
+    const int parts = cl.num_executors() * 8;
+    CachedRdd<std::int64_t> rdd(parts, cl.num_executors(), row_gen(200));
+    const Vec want = sequential_reference(rdd, sum_spec(33));
+    auto spec = counted_split_spec(33);
+    const int baseline = CountedVec::live;
+    CountedVec::peak = baseline;
+    AggMetrics m;
+    auto job = [&]() -> Task<Vec> {
+      co_return co_await split_aggregate(cl, rdd, spec, &m);
+    };
+    EXPECT_EQ(sim.run_task(job()), want);
+    if (speculation) {
+      EXPECT_GE(m.speculative_launches, 1);
+    }
+    EXPECT_LE(CountedVec::peak - baseline, 2 * cl.num_executors());
+    EXPECT_EQ(CountedVec::live, baseline);
+  }
+}
+
+// sum_spec whose seq_op counts folds per partition: row_gen's partition pid
+// starts with row pid * 1000, which each fold of pid sees exactly once.
+TreeAggSpec<std::int64_t, Vec> fold_counting_spec(int dim,
+                                                  std::vector<int>& folds) {
+  auto spec = sum_spec(dim);
+  spec.seq_op = [&folds, seq = spec.seq_op](Vec& u, const std::int64_t& row) {
+    if (row % 1000 == 0) ++folds[static_cast<std::size_t>(row / 1000)];
+    seq(u, row);
+  };
+  spec.partition_cost = [](int, const std::vector<std::int64_t>& rows) {
+    return sim::milliseconds(rows.size());
+  };
+  return spec;
+}
+
+TEST(FoldContract, FailedAttemptsNeverFold) {
+  // Plain stage: tasks 3 and 5 fail one and two attempts; each partition
+  // is still delivered, and folded, exactly once.
+  {
+    Simulator sim;
+    Cluster cl(sim, small_spec());
+    cl.config().agg_mode = AggMode::kTree;
+    cl.config().faults.should_fail = [](const TaskId& id) {
+      return (id.task == 3 && id.attempt == 0) ||
+             (id.task == 5 && id.attempt < 2);
+    };
+    CachedRdd<std::int64_t> rdd(8, cl.num_executors(), row_gen(10));
+    std::vector<int> folds(8, 0);
+    auto spec = fold_counting_spec(8, folds);
+    const Vec want = sequential_reference(rdd, sum_spec(8));
+    AggMetrics m;
+    auto job = [&]() -> Task<Vec> {
+      co_return co_await tree_aggregate(cl, rdd, spec, &m);
+    };
+    EXPECT_EQ(sim.run_task(job()), want);
+    EXPECT_EQ(m.task_retries, 3);
+    EXPECT_EQ(folds, std::vector<int>(8, 1));
+  }
+  // IMM stage: task 2's first attempt fails and restarts the stage. Every
+  // other task delivered into the discarded stage attempt and delivers
+  // again; task 2 delivers once.
+  {
+    Simulator sim;
+    Cluster cl(sim, small_spec());
+    cl.config().agg_mode = AggMode::kSplit;
+    cl.config().faults.should_fail = [](const TaskId& id) {
+      return id.stage == 0 && id.task == 2 && id.attempt == 0;
+    };
+    CachedRdd<std::int64_t> rdd(8, cl.num_executors(), row_gen(10));
+    std::vector<int> folds(8, 0);
+    auto sspec = split_sum_spec(8);
+    sspec.base = fold_counting_spec(8, folds);
+    const Vec want = sequential_reference(rdd, sum_spec(8));
+    AggMetrics m;
+    auto job = [&]() -> Task<Vec> {
+      co_return co_await split_aggregate(cl, rdd, sspec, &m);
+    };
+    EXPECT_EQ(sim.run_task(job()), want);
+    EXPECT_EQ(m.stage_restarts, 1);
+    std::vector<int> expect(8, 2);
+    expect[2] = 1;
+    EXPECT_EQ(folds, expect);
+  }
+}
+
+TEST(FoldContract, SpeculativeLosersNeverFold) {
+  for (const AggMode mode : {AggMode::kTree, AggMode::kSplit}) {
+    SCOPED_TRACE(mode == AggMode::kTree ? "plain stage" : "IMM stage");
+    Simulator sim;
+    Cluster cl(sim, small_spec());
+    cl.config().agg_mode = mode;
+    cl.config().stragglers.slowdown[3] = 8.0;
+    cl.config().health.speculation = true;
+    cl.config().health.speculation_interval = sim::milliseconds(5);
+    CachedRdd<std::int64_t> rdd(8, cl.num_executors(), row_gen(30));
+    std::vector<int> folds(8, 0);
+    auto sspec = split_sum_spec(8);
+    sspec.base = fold_counting_spec(8, folds);
+    const Vec want = sequential_reference(rdd, sum_spec(8));
+    AggMetrics m;
+    auto job = [&]() -> Task<Vec> {
+      if (mode == AggMode::kTree) {
+        co_return co_await tree_aggregate(cl, rdd, sspec.base, &m);
+      }
+      co_return co_await split_aggregate(cl, rdd, sspec, &m);
+    };
+    EXPECT_EQ(sim.run_task(job()), want);
+    EXPECT_GE(m.speculative_launches, 1);
+    EXPECT_EQ(folds, std::vector<int>(8, 1));
+  }
+}
+
+TEST(FoldContract, KilledPartialsFoldOncePerRefold) {
+  // A kill mid-ring loses executor 2's merged partial. Its partitions are
+  // folded once more each, by the residual refold or the overlapped eager
+  // refold; every other partition is folded once.
+  for (const bool overlap : {false, true}) {
+    SCOPED_TRACE(overlap ? "overlapped refold" : "residual refold");
+    auto run = [overlap](sim::Time kill_at, std::vector<int>& folds,
+                         AggMetrics& m, int& refolded) {
+      EngineConfig cfg;
+      cfg.agg_mode = AggMode::kSplit;
+      cfg.sai_parallelism = 2;
+      cfg.collective_timeout = sim::milliseconds(400);
+      cfg.stage_retry_backoff = sim::milliseconds(10);
+      cfg.overlap_recovery = overlap;
+      cfg.trace.enabled = true;
+      if (kill_at > 0) cfg.fault_schedule.kill_executor(kill_at, 2);
+      Simulator sim;
+      Cluster cl(sim, small_spec(), cfg);
+      CachedRdd<std::int64_t> rdd(8, cl.num_executors(), row_gen(6));
+      auto sspec = split_sum_spec(64);
+      sspec.base = fold_counting_spec(64, folds);
+      sspec.base.bytes = [](const Vec& v) {
+        return static_cast<std::uint64_t>(v.size()) * 8 * 8192;
+      };
+      sspec.v_bytes = sspec.base.bytes;
+      const Vec want = sequential_reference(rdd, sum_spec(64));
+      folds.assign(8, 0);
+      auto job = [&]() -> Task<Vec> {
+        co_return co_await split_aggregate(cl, rdd, sspec, &m);
+      };
+      EXPECT_EQ(sim.run_task(job()), want);
+      refolded = 0;
+      for (const obs::TraceEvent& ev : cl.trace().events()) {
+        if (std::string(ev.name) == "recover.refold") {
+          refolded += static_cast<int>(ev.arg("partitions"));
+        }
+      }
+    };
+    std::vector<int> folds(8, 0);
+    AggMetrics clean;
+    int refolded = 0;
+    run(0, folds, clean, refolded);
+    ASSERT_EQ(clean.ring_stage_attempts, 1);
+    EXPECT_EQ(folds, std::vector<int>(8, 1));
+
+    bool hit = false;
+    for (int pct : {25, 40, 55, 70, 85}) {
+      const sim::Time t =
+          clean.compute_done +
+          (clean.end - clean.compute_done) * static_cast<sim::Time>(pct) / 100;
+      AggMetrics m;
+      run(t, folds, m, refolded);
+      if (m.ring_stage_attempts < 2) continue;
+      hit = true;
+      std::vector<int> expect(8, 1);
+      expect[2] = expect[6] = 2;  // executor 2's partitions (pid % 4 == 2).
+      EXPECT_EQ(folds, expect);
+      EXPECT_EQ(refolded, 2);
+      break;
+    }
+    EXPECT_TRUE(hit) << "no kill time in the sweep hit the ring mid-flight";
+  }
+}
+
+TEST(FoldContract, ThrowingSeqOpAbortsWithItsMessage) {
+  struct Case {
+    const char* name;
+    AggMode mode;
+    bool speculation;
+  };
+  for (const Case& c : {Case{"plain", AggMode::kTree, false},
+                        Case{"IMM", AggMode::kTreeImm, false},
+                        Case{"split", AggMode::kSplit, false},
+                        Case{"speculative plain", AggMode::kTree, true},
+                        Case{"speculative IMM", AggMode::kSplit, true}}) {
+    SCOPED_TRACE(c.name);
+    Simulator sim;
+    Cluster cl(sim, small_spec());
+    cl.config().agg_mode = c.mode;
+    if (c.speculation) {
+      cl.config().stragglers.slowdown[3] = 8.0;
+      cl.config().health.speculation = true;
+      cl.config().health.speculation_interval = sim::milliseconds(5);
+    }
+    CachedRdd<std::int64_t> rdd(8, cl.num_executors(), row_gen(30));
+    auto sspec = split_sum_spec(8);
+    sspec.base.seq_op = [seq = sspec.base.seq_op](Vec& u,
+                                                  const std::int64_t& row) {
+      if (row == 3005) throw std::runtime_error("seq_op rejected row 3005");
+      seq(u, row);
+    };
+    sspec.base.partition_cost = [](int, const std::vector<std::int64_t>& r) {
+      return sim::milliseconds(r.size());
+    };
+    auto job = [&]() -> Task<Vec> {
+      if (c.mode == AggMode::kSplit) {
+        co_return co_await split_aggregate(cl, rdd, sspec);
+      }
+      co_return co_await tree_aggregate(cl, rdd, sspec.base);
+    };
+    try {
+      (void)sim.run_task(job());
+      ADD_FAILURE() << "job did not abort";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "seq_op rejected row 3005");
+    }
+  }
 }
 
 }  // namespace
