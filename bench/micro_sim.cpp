@@ -17,9 +17,9 @@
 
 /// \file micro_sim.cpp
 /// Raw kernel-speed micro-benchmark: how fast does the discrete-event core
-/// itself run, independent of any model fidelity question? Five workload
+/// itself run, independent of any model fidelity question? Six workload
 /// shapes stress the distinct hot paths of the calendar queue and timer
-/// pool (see DESIGN.md §12); a sixth compares exact per-chunk NIC pacing
+/// pool (see DESIGN.md §12); a seventh compares exact per-chunk NIC pacing
 /// against the batched O(1)-events-per-message mode. Each shape reports
 /// events (or timer ops) per wall second and wall-clock per simulated
 /// second into BENCH_micro_sim.json.
@@ -38,6 +38,9 @@
 ///                  wake/suspend and the same-instant FIFO path.
 ///   fanout         100k coroutines each sleeping 10 staggered rounds —
 ///                  many concurrent sleepers across the bucket window.
+///   clustered      the engine's own regime: 3k pending timers in bursts of
+///                  ~100 within 3us, bursts 1ms apart; each firing re-arms
+///                  into a burst up to 30ms ahead — bucket-width control.
 ///   paced_transfer 64MiB messages through the NIC/stream pacing model,
 ///                  exact per-chunk mode vs batched_pacing.
 
@@ -177,6 +180,40 @@ ShapeResult fanout() {
           sim::to_seconds(s.now()), s.events_processed()};
 }
 
+/// A timer that re-arms itself into a later burst until `left` runs out.
+struct BurstRearm {
+  Simulator* sim;
+  sim::Rng* rng;
+  int* left;
+  void operator()() const {
+    if (--*left < 0) return;
+    const sim::Time burst = sim->now() - sim->now() % sim::milliseconds(1) +
+                            sim::milliseconds(1 + rng->next_below(30));
+    sim->call_at(burst + rng->next_below(3'000), *this);
+  }
+};
+
+ShapeResult clustered() {
+  const int kEvents = 2'000'000;
+  const int kBursts = 30;
+  const int kPerBurst = 100;
+  Simulator s;
+  bench::SimSpeedScope speed(s);
+  sim::Rng rng(11);
+  int left = kEvents - kBursts * kPerBurst;
+  for (int b = 0; b < kBursts; ++b) {
+    for (int i = 0; i < kPerBurst; ++i) {
+      s.call_at(sim::milliseconds(b) + rng.next_below(3'000),
+                BurstRearm{&s, &rng, &left});
+    }
+  }
+  const auto t0 = Clock::now();
+  s.run();
+  const double w = wall_since(t0);
+  return {"clustered", static_cast<double>(s.events_processed()) / w, w,
+          sim::to_seconds(s.now()), s.events_processed()};
+}
+
 /// Streams `kMsgs` large messages host 0 -> host 1 through one connection.
 ShapeResult paced_transfer(bool batched) {
   const int kMsgs = 200;
@@ -221,6 +258,7 @@ int main(int argc, char** argv) {
   results.push_back(timeout_storm());
   results.push_back(pingpong());
   results.push_back(fanout());
+  results.push_back(clustered());
   results.push_back(paced_transfer(false));
   results.push_back(paced_transfer(true));
 
@@ -247,8 +285,8 @@ int main(int argc, char** argv) {
   // The batched pacing model must produce the same delivery schedule as the
   // exact one when no competing flow interleaves (same arithmetic, coarser
   // interleaving only) — cross-check the virtual end times.
-  const double exact_sim = results[5].sim_s;
-  const double batched_sim = results[6].sim_s;
+  const double exact_sim = results[results.size() - 2].sim_s;
+  const double batched_sim = results.back().sim_s;
   std::printf("paced model check: exact %.9f s vs batched %.9f s%s\n",
               exact_sim, batched_sim,
               exact_sim == batched_sim ? " (identical)" : " (DRIFT)");
@@ -261,7 +299,7 @@ int main(int argc, char** argv) {
   bool ok = true;
   for (const auto& r : results) {
     // The paced shapes measure model cost, not raw queue speed; the floor
-    // applies to the five queue shapes.
+    // applies to the six queue shapes.
     if (r.name.rfind("paced", 0) == 0) continue;
     if (r.ops_per_sec < floor_ops) {
       std::fprintf(stderr, "FAIL: %s at %.0f ops/s below floor %.0f\n",

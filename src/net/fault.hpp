@@ -69,7 +69,9 @@ class FaultFabric {
   void kill_node_at(Time t, int node) {
     sim_->call_at(t, [this, node] { kill_node(node); });
   }
-  bool node_alive(int node) const { return dead_nodes_.count(node) == 0; }
+  bool node_alive(int node) const {
+    return dead_nodes_.empty() || dead_nodes_.count(node) == 0;
+  }
   std::size_t dead_node_count() const { return dead_nodes_.size(); }
 
   /// Simulated time a node died, or kNever if it is still alive. The health
@@ -100,7 +102,9 @@ class FaultFabric {
 
   /// True once a node's process is up (never declared pending, or its join
   /// event has fired). Dead nodes stay "joined" — death is a separate axis.
-  bool node_joined(int node) const { return pending_join_.count(node) == 0; }
+  bool node_joined(int node) const {
+    return pending_join_.empty() || pending_join_.count(node) == 0;
+  }
 
   void join_node_at(Time t, int node) {
     sim_->call_at(t, [this, node] {
@@ -185,7 +189,9 @@ class FaultFabric {
   void kill_host_at(Time t, int host) {
     sim_->call_at(t, [this, host] { kill_host(host); });
   }
-  bool host_alive(int host) const { return dead_hosts_.count(host) == 0; }
+  bool host_alive(int host) const {
+    return dead_hosts_.empty() || dead_hosts_.count(host) == 0;
+  }
 
   void sever_host_link(int a, int b, Time heal_at = kNever) {
     hosts_[host_key(a, b)].severed_until = heal_at;
@@ -251,16 +257,21 @@ class FaultFabric {
            static_cast<std::uint64_t>(static_cast<std::uint32_t>(b + 1));
   }
 
+  // The empty() checks skip hashing the key on a fault-free run, where
+  // every chunk and message asks.
   bool severed(const FaultMap& m, std::uint64_t key) const {
+    if (m.empty()) return false;
     auto it = m.find(key);
     return it != m.end() && sim_->now() < it->second.severed_until;
   }
   Duration delay_of(const FaultMap& m, std::uint64_t key) const {
+    if (m.empty()) return 0;
     auto it = m.find(key);
     if (it == m.end() || sim_->now() >= it->second.delay_until) return 0;
     return it->second.extra_delay;
   }
   double degrade_of(const FaultMap& m, std::uint64_t key) const {
+    if (m.empty()) return 1.0;
     auto it = m.find(key);
     if (it == m.end() || sim_->now() >= it->second.degrade_until) return 1.0;
     return it->second.degrade;

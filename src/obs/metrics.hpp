@@ -138,7 +138,10 @@ class MetricsRegistry {
           if (!n) continue;
           if (!bfirst) out += ", ";
           bfirst = false;
-          out += "\"" + std::to_string(b) + "\": " + std::to_string(n);
+          out += '"';
+          out += std::to_string(b);
+          out += "\": ";
+          out += std::to_string(n);
         }
         out += "}";
       }

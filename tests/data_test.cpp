@@ -199,7 +199,9 @@ TEST(Generators, SparseUpdatesAreShapedAndDeterministic) {
       for (std::size_t k = 0; k < up.indices.size(); ++k) {
         EXPECT_GE(up.indices[k], 0);
         EXPECT_LT(up.indices[k], dim);
-        if (k > 0) EXPECT_LT(up.indices[k - 1], up.indices[k]);  // sorted+unique
+        if (k > 0) {
+          EXPECT_LT(up.indices[k - 1], up.indices[k]);  // sorted+unique
+        }
       }
     }
     auto again = generate_sparse_update_partition(dim, density, 2, 8, 3, 42);
