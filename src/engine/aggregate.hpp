@@ -185,49 +185,49 @@ inline constexpr std::uint64_t kDirectResultLimit = 1ull << 20;
 /// retry count so fault plans keyed on attempt numbers stay inert for them.
 inline constexpr int kSpeculativeAttempt = 1 << 20;
 
-/// Modeled size of the aggregator a split-stage collective will move: the
-/// first stage-1 value present (every executor's aggregator shares the
-/// spec's shape), or the zero aggregator when no partition produced one.
-/// Deterministic, so every stage attempt feeds the tuner the same bytes.
+/// The aggregator the tuner samples for a split-stage collective: the first
+/// stage-1 value present (every executor's aggregator shares the spec's
+/// shape), or the zero aggregator when no partition produced one.
+/// Deterministic, so every stage attempt feeds the tuner the same inputs.
+template <typename U>
+const U& sample_aggregator(const std::vector<std::shared_ptr<U>>& per_exec,
+                           const U& zero) {
+  for (const auto& v : per_exec) {
+    if (v) return *v;
+  }
+  return zero;
+}
+
+/// Modeled size of the aggregator a split-stage collective will move.
 template <typename T, typename U, typename V>
 std::uint64_t aggregator_bytes(
     const SplitAggSpec<T, U, V>& spec,
     const std::vector<std::shared_ptr<U>>& per_exec) {
-  for (const auto& v : per_exec) {
-    if (v) return spec.base.bytes(*v);
-  }
-  return spec.base.bytes(spec.base.zero);
+  return spec.base.bytes(sample_aggregator(per_exec, spec.base.zero));
 }
 
-/// Estimated aggregator density for the tuner, sampled the same way as
-/// aggregator_bytes (first stage-1 value present; the zero aggregator only
-/// when no partition produced one). 1.0 without a density_op — the dense
-/// specs never price the sparse ring as a win.
+/// Estimated aggregator density for the tuner; 1.0 without a density_op —
+/// the dense specs never price the sparse ring as a win.
 template <typename T, typename U, typename V>
 double aggregator_density(const SplitAggSpec<T, U, V>& spec,
                           const std::vector<std::shared_ptr<U>>& per_exec) {
   if (!spec.density_op) return 1.0;
-  for (const auto& v : per_exec) {
-    if (v) return spec.density_op(*v);
-  }
-  return spec.density_op(spec.base.zero);
+  return spec.density_op(sample_aggregator(per_exec, spec.base.zero));
 }
 
 /// Builds the SegOps a split-stage collective runs over, wiring in the
-/// compression hooks when `algo` is the sparse ring: split re-encodes each
-/// segment density-optimally, and reduce_into probes the representation
-/// around each merge so dense<->sparse flips land in the trace as
-/// "comp.switch" instants (fill-in growing past the byte crossover is
-/// exactly when they fire). Because the representation lives inside V,
-/// v_bytes already reports the compressed size — hop transport and merge
-/// sleeps get cheaper with no further plumbing.
+/// compression hooks when the attempt is `encoded` (the sparse ring with an
+/// encode_op): split re-encodes each segment density-optimally, and
+/// reduce_into probes the representation around each merge so
+/// dense<->sparse flips land in the trace as "comp.switch" instants
+/// (fill-in growing past the byte crossover is exactly when they fire).
+/// Because the representation lives inside V, v_bytes already reports the
+/// compressed size — hop transport and merge sleeps get cheaper with no
+/// further plumbing.
 template <typename T, typename U, typename V>
-comm::SegOps<V> make_seg_ops(Cluster& cl, int job, comm::AlgoId algo,
-                             int exec_id, int rank,
-                             const SplitAggSpec<T, U, V>& spec,
+comm::SegOps<V> make_seg_ops(Cluster& cl, int job, bool encoded, int exec_id,
+                             int rank, const SplitAggSpec<T, U, V>& spec,
                              const std::shared_ptr<U>& local) {
-  const bool comp_on =
-      algo == comm::AlgoId::kSparseRing && static_cast<bool>(spec.encode_op);
   comm::SegOps<V> ops;
   // `split` reads `*local` for the whole collective, because the ring
   // algorithms split each segment when they first send or reduce into it.
@@ -237,7 +237,7 @@ comm::SegOps<V> make_seg_ops(Cluster& cl, int job, comm::AlgoId algo,
   // a failure is rethrown. Refold, migration and overlapped recovery — the
   // only paths that comb_op into or reset per-executor values — run after
   // that, between attempts.
-  if (comp_on) {
+  if (encoded) {
     ops.split = [&spec, &local](int seg, int nseg) {
       return spec.encode_op(spec.split_op(*local, seg, nseg));
     };
@@ -246,7 +246,7 @@ comm::SegOps<V> make_seg_ops(Cluster& cl, int job, comm::AlgoId algo,
       return spec.split_op(*local, seg, nseg);
     };
   }
-  if (comp_on && spec.is_sparse_op) {
+  if (encoded && spec.is_sparse_op) {
     ops.reduce_into = [&cl, &spec, job, exec_id, rank](V& a, const V& b) {
       const bool was = spec.is_sparse_op(a);
       spec.reduce_op(a, b);
@@ -264,19 +264,16 @@ comm::SegOps<V> make_seg_ops(Cluster& cl, int job, comm::AlgoId algo,
   return ops;
 }
 
-/// The encode pass of the sparse ring: one streaming scan over the local
-/// aggregator gathering nonzeros into index+value segments, priced at the
-/// codec scan bandwidth and attributed to the "comp" trace category
+/// The encode pass of an encoded ring attempt: one streaming scan over the
+/// local aggregator gathering nonzeros into index+value segments, priced at
+/// the codec scan bandwidth and attributed to the "comp" trace category
 /// (fig02-style breakdowns report it in its own column). The scan emits the
 /// P*N encoded segments directly, so it subsumes the dense split pass —
-/// callers run this *instead of* the split sleep when compression is on.
-/// No-op on dense dispatches.
+/// ring_rank runs this *instead of* the split sleep.
 template <typename T, typename U, typename V>
-sim::Task<void> comp_encode_pass(Cluster& cl, int job, comm::AlgoId algo,
-                                 int exec_id, int rank,
+sim::Task<void> comp_encode_pass(Cluster& cl, int job, int exec_id, int rank,
                                  const SplitAggSpec<T, U, V>& spec,
                                  const U& local) {
-  if (algo != comm::AlgoId::kSparseRing || !spec.encode_op) co_return;
   const std::uint64_t bytes = spec.base.bytes(local);
   const obs::SpanId span = cl.trace().begin(
       "comp", "comp.encode", obs::exec_pid(exec_id), rank,
@@ -367,34 +364,6 @@ U fold_partition(CachedRdd<T>& rdd, const TreeAggSpec<T, U>& spec, int pid) {
   return agg;
 }
 
-/// Task-level retry loop (vanilla Spark semantics: failed tasks rerun
-/// individually) around compute_attempt; the caller folds the partition
-/// once this returns. `stage` distinguishes recomputation of lost partials
-/// (stage 1) from the original compute stage for FaultPlan rules. If
-/// `ran_on` is non-null it receives the executor the successful attempt ran
-/// on.
-template <typename T, typename U>
-sim::Task<void> compute_with_retry(Cluster& cl, CachedRdd<T>& rdd,
-                                   const TreeAggSpec<T, U>& spec, int job,
-                                   int task, AggMetrics* m, int stage = 0,
-                                   int* ran_on = nullptr) {
-  for (int attempt = 0;; ++attempt) {
-    int exec = -1;
-    try {
-      co_await compute_attempt(cl, rdd, spec,
-                               TaskId{job, stage, task, attempt}, &exec);
-      if (ran_on) *ran_on = exec;
-      co_return;
-    } catch (const TaskFailed&) {
-      if (exec >= 0) cl.health().record_failure(exec);
-      if (m) ++m->task_retries;
-      if (attempt + 1 >= cl.config().max_task_attempts) {
-        throw std::runtime_error("task exceeded max attempts; job aborted");
-      }
-    }
-  }
-}
-
 /// Shared state of one stage's speculation races, shared_ptr-owned because
 /// *losing* attempts can outlive the stage (and even the job) coroutine
 /// frames: a loser resumes from its final sleep after the stage has moved
@@ -479,187 +448,20 @@ inline void arm_speculation_tick(
       race->tick);
 }
 
-/// Plain compute stage: one serialized result per partition. When
-/// speculation is enabled (`attempts_wg` non-null and
-/// `health.speculation` on), each task becomes a race: the monitor tick
-/// may launch one duplicate attempt on a healthy executor, the first
-/// finisher claims the task, and losers drop out touching only the shared
-/// race state (the job drains them through `attempts_wg` before its frame
-/// dies).
-template <typename T, typename U>
-sim::Task<std::vector<Blob<U>>> compute_stage_plain(
-    Cluster& cl, CachedRdd<T>& rdd, const TreeAggSpec<T, U>& spec, int job,
-    AggMetrics* m, sim::WaitGroup* attempts_wg = nullptr) {
-  const int p = rdd.num_partitions();
-  std::vector<Blob<U>> out(static_cast<std::size_t>(p));
-  obs::TraceSink& tr = cl.trace();
-  obs::TraceSink::Scope stage_scope(
-      tr, tr.begin("stage", "stage.compute", obs::kDriverPid, 0,
-                   {{"job", job}, {"tasks", p}, {"imm", 0}}));
-  sim::WaitGroup wg(cl.simulator());
-  wg.add(p);
-  std::exception_ptr error;
-  const bool speculate = attempts_wg && cl.config().health.speculation;
-  struct Worker {
-    static sim::Task<void> go(Cluster& cl, CachedRdd<T>& rdd,
-                              const TreeAggSpec<T, U>& spec, int job, int task,
-                              Blob<U>& slot, AggMetrics* m, sim::WaitGroup& wg,
-                              std::exception_ptr& error) {
-      try {
-        int exec_id = -1;
-        co_await compute_with_retry(cl, rdd, spec, job, task, m, /*stage=*/0,
-                                    &exec_id);
-        U agg = fold_partition(rdd, spec, task);
-        const std::uint64_t nbytes = spec.bytes(agg);
-        // Vanilla Spark: each task serializes its result immediately upon
-        // completion (exactly the overhead IMM removes).
-        const obs::SpanId ser = cl.trace().begin(
-            "ser", "ser.result", obs::exec_pid(exec_id), task,
-            {{"job", job}, {"bytes", static_cast<std::int64_t>(nbytes)}});
-        co_await cl.simulator().sleep(cl.ser_time(nbytes));
-        cl.trace().end(ser);
-        co_await cl.simulator().sleep(cl.control_latency(exec_id));
-        (void)cl.driver_loop().enqueue(sim::microseconds(50));
-        slot = Blob<U>{std::make_shared<U>(std::move(agg)), nbytes, exec_id,
-                       /*serialized=*/true};
-      } catch (...) {
-        if (!error) error = std::current_exception();
-      }
-      wg.done();
-    }
-  };
-  /// One racing attempt (primary or speculative duplicate). Only the
-  /// claiming winner folds the partition and touches stage-frame state
-  /// (slot, wg, error, m); a loser resumes later — possibly after the stage
-  /// frame is gone — and touches only `race` and `attempts`.
-  struct RaceWorker {
-    static sim::Task<void> go(Cluster& cl, CachedRdd<T>& rdd,
-                              const TreeAggSpec<T, U>& spec, int job, int task,
-                              int force_exec, std::shared_ptr<SpecRace> race,
-                              Blob<U>& slot, AggMetrics* m, sim::WaitGroup& wg,
-                              sim::WaitGroup& attempts,
-                              std::exception_ptr& error) {
-      const bool speculative = force_exec >= 0;
-      SpecRace::TaskState& ts = race->tasks[static_cast<std::size_t>(task)];
-      bool finished = false;
-      int ran_exec = -1;
-      if (speculative) {
-        try {
-          co_await compute_attempt(
-              cl, rdd, spec, TaskId{job, 0, task, kSpeculativeAttempt},
-              &ran_exec, force_exec);
-          finished = true;
-        } catch (...) {
-          // A failed duplicate loses quietly: the primary is still racing.
-        }
-      } else {
-        for (int attempt = 0;; ++attempt) {
-          try {
-            co_await compute_attempt(cl, rdd, spec,
-                                     TaskId{job, 0, task, attempt},
-                                     &ts.primary_exec);
-            ran_exec = ts.primary_exec;
-            finished = true;
-            break;
-          } catch (const TaskFailed&) {
-            if (ts.done) break;  // the duplicate already won; stop retrying.
-            cl.health().record_failure(ts.primary_exec);
-            if (m) ++m->task_retries;
-            if (attempt + 1 >= cl.config().max_task_attempts) {
-              if (race->claim(task)) {
-                if (!error) {
-                  error = std::make_exception_ptr(std::runtime_error(
-                      "task exceeded max attempts; job aborted"));
-                }
-                wg.done();
-              }
-              attempts.done();
-              co_return;
-            }
-          } catch (...) {
-            // Not a modeled fault (no usable executor): abort the job, as
-            // the IMM race does, instead of escaping a detached task.
-            if (race->claim(task)) {
-              if (!error) error = std::current_exception();
-              wg.done();
-            }
-            attempts.done();
-            co_return;
-          }
-        }
-      }
-      if (!finished || !race->claim(task)) {
-        attempts.done();
-        co_return;  // lost the race: never fold.
-      }
-      race->durations.push_back(cl.simulator().now() - ts.launched);
-      if (speculative) {
-        if (m) ++m->speculative_wins;
-        cl.trace().instant("compute", "spec.win", obs::exec_pid(ran_exec),
-                           task, {{"task", task}});
-        if (ts.primary_exec >= 0) cl.health().record_straggler(ts.primary_exec);
-      }
-      try {
-        U agg = fold_partition(rdd, spec, task);
-        const std::uint64_t nbytes = spec.bytes(agg);
-        const obs::SpanId ser = cl.trace().begin(
-            "ser", "ser.result", obs::exec_pid(ran_exec), task,
-            {{"job", job}, {"bytes", static_cast<std::int64_t>(nbytes)}});
-        co_await cl.simulator().sleep(cl.ser_time(nbytes));
-        cl.trace().end(ser);
-        co_await cl.simulator().sleep(cl.control_latency(ran_exec));
-        (void)cl.driver_loop().enqueue(sim::microseconds(50));
-        slot = Blob<U>{std::make_shared<U>(std::move(agg)), nbytes, ran_exec,
-                       /*serialized=*/true};
-      } catch (...) {
-        if (!error) error = std::current_exception();
-      }
-      wg.done();
-      attempts.done();
-    }
-  };
-  if (!speculate) {
-    for (int t = 0; t < p; ++t) {
-      cl.simulator().spawn(Worker::go(cl, rdd, spec, job, t,
-                                      out[static_cast<std::size_t>(t)], m, wg,
-                                      error));
-    }
-    co_await wg.wait();
-  } else {
-    auto race = std::make_shared<SpecRace>(p);
-    const Time t0 = cl.simulator().now();
-    for (int t = 0; t < p; ++t) {
-      race->tasks[static_cast<std::size_t>(t)].launched = t0;
-      attempts_wg->add(1);
-      cl.simulator().spawn(RaceWorker::go(cl, rdd, spec, job, t, -1, race,
-                                          out[static_cast<std::size_t>(t)], m,
-                                          wg, *attempts_wg, error));
-    }
-    auto launch = std::make_shared<std::function<void(int, int)>>(
-        [&cl, &rdd, &spec, job, race, &out, m, &wg, attempts_wg,
-         &error](int task, int target) {
-          if (m) ++m->speculative_launches;
-          attempts_wg->add(1);
-          cl.simulator().spawn(RaceWorker::go(
-              cl, rdd, spec, job, task, target, race,
-              out[static_cast<std::size_t>(task)], m, wg, *attempts_wg,
-              error));
-        });
-    arm_speculation_tick(cl, race, launch,
-                         t0 + cl.config().health.speculation_interval);
-    co_await wg.wait();
-    cl.simulator().cancel(race->tick);
-    // On an error path, drain all attempts *before* throwing: zombies must
-    // not outlive the frames they reference.
-    if (error) co_await attempts_wg->wait();
-  }
-  if (error) {
-    stage_scope.close({{"failed", 1}});
-    std::rethrow_exception(error);
-  }
-  stage_scope.close();
-  co_return out;
-}
+/// What one attempt of a compute stage delivers into. It lives in the stage
+/// frame, so only a task attempt that has claimed its task may touch it.
+template <typename U>
+struct StageSink {
+  StageSink(sim::Simulator& sim, int p)
+      : wg(sim),
+        out(static_cast<std::size_t>(p)),
+        ran_on(static_cast<std::size_t>(p), -1) {}
+  sim::WaitGroup wg;         ///< one count per task, done by its claimer.
+  std::exception_ptr error;  ///< first non-fault error; aborts the job.
+  bool failed = false;       ///< IMM: a task failed, so the stage restarts.
+  std::vector<Blob<U>> out;  ///< plain: each task's serialized result.
+  std::vector<int> ran_on;   ///< IMM: the executor that absorbed each task.
+};
 
 /// The IMM merge of one task result, run by the task's delivering attempt
 /// while it holds the executor's merge lock: the partition is folded here,
@@ -683,6 +485,175 @@ sim::Task<void> merge_task_result(Cluster& cl, CachedRdd<T>& rdd,
   cl.trace().end(merge);
 }
 
+/// One racing attempt of compute-stage task `task`: the primary, or a
+/// speculative duplicate pinned to `force_exec` (>= 0). The first attempt
+/// to `claim` the task delivers it; every other attempt drops out without
+/// folding. A loser may resume after the stage frame is gone, so it touches
+/// only `race` and the job-level `attempts` WaitGroup — never `st`.
+///
+/// The stage kind (`imm`) fixes both policies:
+///  * result sink — a plain task folds its partition after the claim and
+///    ships the result serialized (Spark serializes every task result on
+///    completion, exactly the overhead IMM removes); an IMM task folds and
+///    merges into the executor's shared value under its merge lock
+///    (merge_task_result), so exactly one attempt per task ever merges;
+///  * failure policy — a failed plain primary retries in place (Spark's
+///    task-level retry, up to max_task_attempts); a failed IMM primary
+///    marks the stage failed, since IMM has no task-level recovery. A
+///    failed duplicate loses quietly: the primary is still racing, and if
+///    the duplicate already won, a failed primary just drops out.
+template <typename T, typename U>
+sim::Task<void> race_attempt(Cluster& cl, CachedRdd<T>& rdd,
+                             const TreeAggSpec<T, U>& spec, int job, bool imm,
+                             int stage_attempt, int task, int force_exec,
+                             std::shared_ptr<SpecRace> race, StageSink<U>& st,
+                             AggMetrics* m, sim::WaitGroup& attempts) {
+  const bool speculative = force_exec >= 0;
+  SpecRace::TaskState& ts = race->tasks[static_cast<std::size_t>(task)];
+  // Ends the task with a job-aborting error, unless another attempt has
+  // already claimed it.
+  const auto abort_task = [&](std::exception_ptr e) {
+    if (!race->claim(task)) return;
+    if (!st.error) st.error = std::move(e);
+    st.wg.done();
+  };
+  int exec = -1;
+  for (int retry = 0;; ++retry) {
+    try {
+      const int attempt =
+          (speculative ? kSpeculativeAttempt : 0) + stage_attempt + retry;
+      co_await compute_attempt(cl, rdd, spec, TaskId{job, 0, task, attempt},
+                               speculative ? &exec : &ts.primary_exec,
+                               force_exec);
+      if (!speculative) exec = ts.primary_exec;
+      break;
+    } catch (const TaskFailed&) {
+      // A failed duplicate, or a primary whose duplicate already won, just
+      // drops out.
+      if (!speculative && !ts.done) {
+        cl.health().record_failure(ts.primary_exec);
+        if (imm) {
+          race->claim(task);
+          st.failed = true;
+          st.wg.done();
+        } else {
+          ++m->task_retries;
+          if (retry + 1 < cl.config().max_task_attempts) continue;
+          abort_task(std::make_exception_ptr(
+              std::runtime_error("task exceeded max attempts; job aborted")));
+        }
+      }
+    } catch (...) {
+      // Not a modeled fault (e.g. no usable executor): the primary aborts
+      // the job instead of escaping a detached task.
+      if (!speculative) abort_task(std::current_exception());
+    }
+    attempts.done();
+    co_return;
+  }
+  if (!race->claim(task)) {
+    attempts.done();
+    co_return;  // lost the race: never fold.
+  }
+  race->durations.push_back(cl.simulator().now() - ts.launched);
+  if (speculative) {
+    ++m->speculative_wins;
+    cl.trace().instant("compute", "spec.win", obs::exec_pid(exec), task,
+                       {{"task", task}});
+    if (ts.primary_exec >= 0) cl.health().record_straggler(ts.primary_exec);
+  }
+  try {
+    if (imm) {
+      auto& obj = cl.executor(exec).mutable_object(job, cl.simulator());
+      co_await obj.lock->acquire();
+      sim::SemaphoreGuard g(*obj.lock);
+      co_await merge_task_result(cl, rdd, spec, job, task, exec, obj);
+      // Status update carries only (executor id, object id).
+      co_await cl.simulator().sleep(cl.control_latency(exec));
+      (void)cl.driver_loop().enqueue(sim::microseconds(20));
+      st.ran_on[static_cast<std::size_t>(task)] = exec;
+    } else {
+      U agg = fold_partition(rdd, spec, task);
+      const std::uint64_t nbytes = spec.bytes(agg);
+      const obs::SpanId ser = cl.trace().begin(
+          "ser", "ser.result", obs::exec_pid(exec), task,
+          {{"job", job}, {"bytes", static_cast<std::int64_t>(nbytes)}});
+      co_await cl.simulator().sleep(cl.ser_time(nbytes));
+      cl.trace().end(ser);
+      co_await cl.simulator().sleep(cl.control_latency(exec));
+      (void)cl.driver_loop().enqueue(sim::microseconds(50));
+      st.out[static_cast<std::size_t>(task)] =
+          Blob<U>{std::make_shared<U>(std::move(agg)), nbytes, exec,
+                  /*serialized=*/true};
+    }
+  } catch (...) {
+    if (!st.error) st.error = std::current_exception();
+  }
+  st.wg.done();
+  attempts.done();
+}
+
+/// Runs one attempt of a compute stage: every task is a race (see
+/// race_attempt). With `health.speculation` on, the monitor tick may launch
+/// one duplicate of a straggling task on a healthy executor; without it no
+/// tick is armed, and each race has a single entrant. `attempts` counts
+/// every attempt frame, so the job can drain losers before its frame dies;
+/// on an error path they drain here, before the caller rethrows.
+template <typename T, typename U>
+sim::Task<void> run_compute_race(Cluster& cl, CachedRdd<T>& rdd,
+                                 const TreeAggSpec<T, U>& spec, int job,
+                                 bool imm, int stage_attempt, StageSink<U>& st,
+                                 AggMetrics* m, sim::WaitGroup& attempts) {
+  const int p = rdd.num_partitions();
+  auto race = std::make_shared<SpecRace>(p);
+  const Time t0 = cl.simulator().now();
+  st.wg.add(p);
+  for (int t = 0; t < p; ++t) {
+    race->tasks[static_cast<std::size_t>(t)].launched = t0;
+    attempts.add(1);
+    cl.simulator().spawn(race_attempt(cl, rdd, spec, job, imm, stage_attempt,
+                                      t, -1, race, st, m, attempts));
+  }
+  if (cl.config().health.speculation) {
+    auto launch = std::make_shared<std::function<void(int, int)>>(
+        [&cl, &rdd, &spec, job, imm, stage_attempt, race, &st, m,
+         &attempts](int task, int target) {
+          ++m->speculative_launches;
+          attempts.add(1);
+          cl.simulator().spawn(race_attempt(cl, rdd, spec, job, imm,
+                                            stage_attempt, task, target, race,
+                                            st, m, attempts));
+        });
+    arm_speculation_tick(cl, race, launch,
+                         t0 + cl.config().health.speculation_interval);
+  }
+  co_await st.wg.wait();
+  cl.simulator().cancel(race->tick);
+  if (st.error) co_await attempts.wait();
+}
+
+/// Plain compute stage: one serialized result per partition, failed tasks
+/// retried individually.
+template <typename T, typename U>
+sim::Task<std::vector<Blob<U>>> compute_stage_plain(
+    Cluster& cl, CachedRdd<T>& rdd, const TreeAggSpec<T, U>& spec, int job,
+    AggMetrics* m, sim::WaitGroup& attempts) {
+  const int p = rdd.num_partitions();
+  obs::TraceSink& tr = cl.trace();
+  obs::TraceSink::Scope stage_scope(
+      tr, tr.begin("stage", "stage.compute", obs::kDriverPid, 0,
+                   {{"job", job}, {"tasks", p}, {"imm", 0}}));
+  StageSink<U> st(cl.simulator(), p);
+  co_await run_compute_race(cl, rdd, spec, job, /*imm=*/false,
+                            /*stage_attempt=*/0, st, m, attempts);
+  if (st.error) {
+    stage_scope.close({{"failed", 1}});
+    std::rethrow_exception(st.error);
+  }
+  stage_scope.close();
+  co_return std::move(st.out);
+}
+
 /// Reduced-result stage (In-Memory Merge): task results fold into one
 /// shared value per executor, unserialized; any failure — an injected task
 /// fault, or an executor dying with partials merged into it — restarts the
@@ -693,10 +664,9 @@ sim::Task<void> merge_task_result(Cluster& cl, CachedRdd<T>& rdd,
 template <typename T, typename U>
 sim::Task<std::vector<Blob<U>>> compute_stage_imm(
     Cluster& cl, CachedRdd<T>& rdd, const TreeAggSpec<T, U>& spec, int job,
-    AggMetrics* m, std::vector<int>* task_exec = nullptr,
-    sim::WaitGroup* attempts_wg = nullptr) {
+    AggMetrics* m, sim::WaitGroup& attempts, std::vector<int>* task_exec) {
   const int p = rdd.num_partitions();
-  const bool speculate = attempts_wg && cl.config().health.speculation;
+  const std::int64_t key = static_cast<std::int64_t>(job);
   obs::TraceSink& tr = cl.trace();
   for (int stage_attempt = 0;; ++stage_attempt) {
     obs::TraceSink::Scope stage_scope(
@@ -705,167 +675,19 @@ sim::Task<std::vector<Blob<U>>> compute_stage_imm(
                       {"tasks", p},
                       {"imm", 1},
                       {"attempt", stage_attempt}}));
-    const std::int64_t key = static_cast<std::int64_t>(job);
-    bool failed = false;
-    std::exception_ptr error;
-    std::vector<int> ran_on(static_cast<std::size_t>(p), -1);
-    sim::WaitGroup wg(cl.simulator());
-    wg.add(p);
-    struct Worker {
-      static sim::Task<void> go(Cluster& cl, CachedRdd<T>& rdd,
-                                const TreeAggSpec<T, U>& spec, int job,
-                                int task, int attempt, std::int64_t key,
-                                bool& failed, int& ran_on, sim::WaitGroup& wg,
-                                std::exception_ptr& error) {
-        int exec_id = -1;
-        try {
-          co_await compute_attempt(cl, rdd, spec,
-                                   TaskId{job, 0, task, attempt}, &exec_id);
-          ran_on = exec_id;
-          Executor& ex = cl.executor(exec_id);
-          auto& obj = ex.mutable_object(key, cl.simulator());
-          co_await obj.lock->acquire();
-          sim::SemaphoreGuard g(*obj.lock);
-          co_await merge_task_result(cl, rdd, spec, job, task, exec_id, obj);
-          // Status update carries only (executor id, object id).
-          co_await cl.simulator().sleep(cl.control_latency(exec_id));
-          (void)cl.driver_loop().enqueue(sim::microseconds(20));
-        } catch (const TaskFailed&) {
-          failed = true;
-          if (exec_id >= 0) cl.health().record_failure(exec_id);
-        } catch (...) {
-          if (!error) error = std::current_exception();
-        }
-        wg.done();
-      }
-    };
-    /// Racing IMM attempt. The *claim happens before the merge*: exactly
-    /// one attempt per task ever folds and merges into the executor's
-    /// shared value, which is what keeps speculation idempotent under IMM.
-    /// Losers (and zombies from a previous, failed stage attempt — whose
-    /// race object they keep alive) never fold, never merge and never touch
-    /// stage-frame state.
-    struct RaceWorker {
-      static sim::Task<void> go(Cluster& cl, CachedRdd<T>& rdd,
-                                const TreeAggSpec<T, U>& spec, int job,
-                                int task, int stage_attempt, int force_exec,
-                                std::shared_ptr<SpecRace> race,
-                                std::int64_t key, bool& failed, int& ran_on,
-                                AggMetrics* m, sim::WaitGroup& wg,
-                                sim::WaitGroup& attempts,
-                                std::exception_ptr& error) {
-        const bool speculative = force_exec >= 0;
-        SpecRace::TaskState& ts = race->tasks[static_cast<std::size_t>(task)];
-        int exec_id = -1;
-        const int attempt = speculative ? kSpeculativeAttempt + stage_attempt
-                                        : stage_attempt;
-        try {
-          if (speculative) {
-            co_await compute_attempt(cl, rdd, spec,
-                                     TaskId{job, 0, task, attempt}, &exec_id,
-                                     force_exec);
-          } else {
-            co_await compute_attempt(cl, rdd, spec,
-                                     TaskId{job, 0, task, attempt},
-                                     &ts.primary_exec);
-            exec_id = ts.primary_exec;
-          }
-        } catch (const TaskFailed&) {
-          // A failed duplicate loses quietly; a failed primary restarts the
-          // stage (IMM has no task-level recovery) — unless its duplicate
-          // already won, in which case speculation just saved the stage.
-          if (!speculative && race->claim(task)) {
-            cl.health().record_failure(ts.primary_exec);
-            failed = true;
-            wg.done();
-          }
-          attempts.done();
-          co_return;
-        } catch (...) {
-          if (!speculative && race->claim(task)) {
-            if (!error) error = std::current_exception();
-            wg.done();
-          }
-          attempts.done();
-          co_return;
-        }
-        if (!race->claim(task)) {
-          attempts.done();
-          co_return;  // lost the race: never merge.
-        }
-        race->durations.push_back(cl.simulator().now() - ts.launched);
-        if (speculative) {
-          if (m) ++m->speculative_wins;
-          cl.trace().instant("compute", "spec.win", obs::exec_pid(exec_id),
-                             task, {{"task", task}});
-          if (ts.primary_exec >= 0) {
-            cl.health().record_straggler(ts.primary_exec);
-          }
-        }
-        try {
-          Executor& ex = cl.executor(exec_id);
-          auto& obj = ex.mutable_object(key, cl.simulator());
-          co_await obj.lock->acquire();
-          sim::SemaphoreGuard g(*obj.lock);
-          co_await merge_task_result(cl, rdd, spec, job, task, exec_id, obj);
-          co_await cl.simulator().sleep(cl.control_latency(exec_id));
-          (void)cl.driver_loop().enqueue(sim::microseconds(20));
-          ran_on = exec_id;
-        } catch (...) {
-          if (!error) error = std::current_exception();
-        }
-        wg.done();
-        attempts.done();
-      }
-    };
-    std::shared_ptr<SpecRace> race;
-    if (!speculate) {
-      for (int t = 0; t < p; ++t) {
-        cl.simulator().spawn(Worker::go(cl, rdd, spec, job, t, stage_attempt,
-                                        key, failed,
-                                        ran_on[static_cast<std::size_t>(t)],
-                                        wg, error));
-      }
-    } else {
-      race = std::make_shared<SpecRace>(p);
-      const Time t0 = cl.simulator().now();
-      for (int t = 0; t < p; ++t) {
-        race->tasks[static_cast<std::size_t>(t)].launched = t0;
-        attempts_wg->add(1);
-        cl.simulator().spawn(RaceWorker::go(
-            cl, rdd, spec, job, t, stage_attempt, -1, race, key, failed,
-            ran_on[static_cast<std::size_t>(t)], m, wg, *attempts_wg, error));
-      }
-      auto launch = std::make_shared<std::function<void(int, int)>>(
-          [&cl, &rdd, &spec, job, stage_attempt, race, key, &failed, &ran_on,
-           m, &wg, attempts_wg, &error](int task, int target) {
-            if (m) ++m->speculative_launches;
-            attempts_wg->add(1);
-            cl.simulator().spawn(RaceWorker::go(
-                cl, rdd, spec, job, task, stage_attempt, target, race, key,
-                failed, ran_on[static_cast<std::size_t>(task)], m, wg,
-                *attempts_wg, error));
-          });
-      arm_speculation_tick(cl, race, launch,
-                           t0 + cl.config().health.speculation_interval);
-    }
-    co_await wg.wait();
-    if (race) cl.simulator().cancel(race->tick);
-    if (error) {
-      if (speculate) co_await attempts_wg->wait();
+    StageSink<U> st(cl.simulator(), p);
+    co_await run_compute_race(cl, rdd, spec, job, /*imm=*/true,
+                              stage_attempt, st, m, attempts);
+    if (st.error) {
       stage_scope.close({{"failed", 1}});
-      std::rethrow_exception(error);
+      std::rethrow_exception(st.error);
     }
-    if (!failed) {
-      // An executor that died after absorbing partials loses them: that is
-      // a stage failure too (no task-level recovery under IMM).
-      for (int t = 0; t < p; ++t) {
-        if (!cl.executor_alive(ran_on[static_cast<std::size_t>(t)])) {
-          failed = true;
-          break;
-        }
-      }
-    }
+    // An executor that died after absorbing partials loses them: that is
+    // a stage failure too (no task-level recovery under IMM).
+    const bool failed =
+        st.failed ||
+        std::any_of(st.ran_on.begin(), st.ran_on.end(),
+                    [&cl](int e) { return !cl.executor_alive(e); });
     if (!failed) {
       std::vector<Blob<U>> out;
       for (int e = 0; e < cl.num_executors(); ++e) {
@@ -878,11 +700,11 @@ sim::Task<std::vector<Blob<U>>> compute_stage_imm(
         }
         ex.clear_mutable_object(key);
       }
-      if (task_exec) *task_exec = std::move(ran_on);
+      if (task_exec) *task_exec = std::move(st.ran_on);
       stage_scope.close();
       co_return out;
     }
-    if (m) ++m->stage_restarts;
+    ++m->stage_restarts;
     stage_scope.close({{"failed", 1}});
     tr.instant("recover", "stage.restart", obs::kDriverPid, 0,
                {{"job", job}, {"attempt", stage_attempt}});
@@ -890,7 +712,7 @@ sim::Task<std::vector<Blob<U>>> compute_stage_imm(
       cl.executor(e).clear_mutable_object(key);
     }
     if (stage_attempt + 1 >= cl.config().max_stage_attempts) {
-      if (speculate) co_await attempts_wg->wait();
+      co_await attempts.wait();
       throw std::runtime_error("stage exceeded max attempts; job aborted");
     }
   }
@@ -1014,63 +836,99 @@ struct RingSnapshot {
   std::vector<int> exec_rank;  ///< executor id -> rank, -1 if outside.
 };
 
-/// Recomputes partitions whose partials sit outside the attempt's rank set
-/// (dead, quarantined, or departed holders), folding them into survivors'
-/// shared values — partition data regenerates deterministically, exactly
-/// like a Spark recompute. Shared by split_aggregate and split_allreduce.
+/// Folds partition `pid` into executor `e`'s merged value — the survivor a
+/// refold placed it on — and records `e` as the partition's holder.
+template <typename T, typename U>
+sim::Task<void> fold_into_survivor(Cluster& cl, CachedRdd<T>& rdd,
+                                   const TreeAggSpec<T, U>& spec, int pid,
+                                   int e,
+                                   std::vector<std::shared_ptr<U>>& per_exec,
+                                   std::vector<std::vector<int>>& owned) {
+  auto& dst = per_exec[static_cast<std::size_t>(e)];
+  if (!dst) dst = std::make_shared<U>(spec.zero);
+  const U agg = fold_partition(rdd, spec, pid);
+  co_await cl.simulator().sleep(cl.merge_cost(spec.bytes(agg)));
+  spec.comb_op(*dst, agg);
+  owned[static_cast<std::size_t>(e)].push_back(pid);
+}
+
+/// Recomputes lost partials, folding them into survivors' shared values —
+/// partition data regenerates deterministically, exactly like a Spark
+/// recompute. Two recovery paths share it:
+///  * the residual refold at a ring boundary (`ring` non-null) takes the
+///    partials held outside the attempt's rank set (dead, quarantined, or
+///    departed holders) and recomputes each with task-level retry wherever
+///    the scheduler puts it;
+///  * the eager refold of overlapped recovery (`ring` null) takes the
+///    partials whose holders the fault fabric already killed — a lost
+///    partial is a physical fact, the same omniscience compute_attempt
+///    itself uses — and pins each attempt to an executor that is both
+///    health-usable and alive. A partition that cannot be placed yet goes
+///    back to its holder's list for the next boundary's residual refold.
 /// Ownership discipline: each executor's partition list is *moved out*
-/// before the first co_await, so no other recovery path (in particular the
-/// overlapped eager refold) can claim the same partitions twice.
+/// before the first co_await, so no partition is claimed by both paths.
 template <typename T, typename U, typename V>
 sim::Task<void> refold_partials(Cluster& cl, CachedRdd<T>& rdd,
                                 const SplitAggSpec<T, U, V>& spec, int job,
-                                AggMetrics* m, const RingSnapshot& ring,
+                                AggMetrics* m, const RingSnapshot* ring,
                                 std::vector<std::shared_ptr<U>>& per_exec,
                                 std::vector<std::vector<int>>& owned) {
   obs::TraceSink& tr = cl.trace();
   const int num_exec = cl.num_executors();
   for (int e = 0; e < num_exec; ++e) {
-    if (ring.exec_rank[static_cast<std::size_t>(e)] >= 0 ||
-        owned[static_cast<std::size_t>(e)].empty()) {
-      continue;
-    }
-    const std::vector<int> lost = std::move(owned[static_cast<std::size_t>(e)]);
+    const bool lost = ring ? ring->exec_rank[static_cast<std::size_t>(e)] < 0
+                           : !cl.executor_alive(e);
+    if (!lost || owned[static_cast<std::size_t>(e)].empty()) continue;
+    const std::vector<int> pids = std::move(owned[static_cast<std::size_t>(e)]);
     owned[static_cast<std::size_t>(e)].clear();
     per_exec[static_cast<std::size_t>(e)].reset();
     obs::TraceSink::Scope refold_scope(
         tr, tr.begin("recover", "recover.refold", obs::kDriverPid, 0,
                      {{"job", job},
                       {"executor", e},
-                      {"partitions", static_cast<std::int64_t>(lost.size())}}));
-    for (int pid : lost) {
-      int ran_on = -1;
-      co_await compute_with_retry(cl, rdd, spec.base, job, pid, m,
-                                  /*stage=*/1, &ran_on);
-      auto& dst = per_exec[static_cast<std::size_t>(ran_on)];
-      if (!dst) dst = std::make_shared<U>(spec.base.zero);
-      const U agg = fold_partition(rdd, spec.base, pid);
-      co_await cl.simulator().sleep(cl.merge_cost(spec.base.bytes(agg)));
-      spec.base.comb_op(*dst, agg);
-      owned[static_cast<std::size_t>(ran_on)].push_back(pid);
+                      {"partitions", static_cast<std::int64_t>(pids.size())}}));
+    for (int pid : pids) {
+      bool placed = false;
+      for (int attempt = 0; !placed; ++attempt) {
+        // The residual refold lets the scheduler place the recompute. The
+        // eager refold pins it to an executor that is health-usable AND
+        // alive, re-picked per attempt — a dead-but-undetected executor
+        // would burn the whole retry budget before the monitor even
+        // declares it dead.
+        int target = -1;
+        if (!ring) {
+          const int pref = rdd.preferred_executor(pid);
+          for (int i = 0; i < num_exec && target < 0; ++i) {
+            const int cand = (pref + i) % num_exec;
+            if (cl.executor_usable(cand) && cl.executor_alive(cand)) {
+              target = cand;
+            }
+          }
+          if (target < 0) break;  // nowhere to place it right now.
+        }
+        int ran_on = -1;
+        try {
+          co_await compute_attempt(cl, rdd, spec.base,
+                                   TaskId{job, 1, pid, attempt}, &ran_on,
+                                   target);
+          co_await fold_into_survivor(cl, rdd, spec.base, pid, ran_on,
+                                      per_exec, owned);
+          placed = true;
+        } catch (const TaskFailed&) {
+          // Task-level retry, as vanilla Spark reruns a failed task.
+          cl.health().record_failure(ran_on);
+          ++m->task_retries;
+          if (attempt + 1 >= cl.config().max_task_attempts) {
+            throw std::runtime_error("task exceeded max attempts; job aborted");
+          }
+        }
+      }
+      // Unplaced: ownership moved here and moves back exactly once.
+      if (!placed) owned[static_cast<std::size_t>(e)].push_back(pid);
     }
   }
 }
 
-/// The stage boundary of one ring attempt, in load-bearing order:
-///
-///  1. membership sync — arrived joiners are admitted (warm-up transfer)
-///     so the new ring can include them;
-///  2. partial migration — each *draining* executor's merged partial moves
-///     to its ring successor over the data plane (one fetch + one merge)
-///     instead of being recomputed, and the drain completes;
-///  3. the communicator is (re)built over the resulting membership and the
-///     rank picture snapshotted before any further await;
-///  4. residual refold — partials still held outside the rank set (dead or
-///     otherwise departed holders) are recomputed onto survivors.
-///
-/// Fixing the rank set before the refold (3 before 4) is the PR-1 TOCTOU
-/// fix: checking liveness before the rebuild would let a kill in between
-/// slip an executor's partial out of the ring without recovery.
 template <typename T, typename U, typename V>
 sim::Task<RingSnapshot> ring_boundary(Cluster& cl, CachedRdd<T>& rdd,
                                       const SplitAggSpec<T, U, V>& spec,
@@ -1133,25 +991,56 @@ sim::Task<RingSnapshot> ring_boundary(Cluster& cl, CachedRdd<T>& rdd,
     ring.rank_exec[static_cast<std::size_t>(r)] = e;
     ring.exec_rank[static_cast<std::size_t>(e)] = r;
   }
-  co_await refold_partials(cl, rdd, spec, job, m, ring, per_exec, owned);
+  co_await refold_partials(cl, rdd, spec, job, m, &ring, per_exec, owned);
   co_return ring;
 }
 
-/// Settle-then-backoff between failed ring-stage attempts, optionally
-/// overlapped with an eager refold of partials lost with *physically dead*
-/// executors (`EngineConfig::overlap_recovery`).
+/// Settle-then-backoff before the next ring attempt. With heartbeats on,
+/// the driver cannot yet tell which member is dead — rebuilding immediately
+/// would re-include it and fail again — so it waits out detection (bounded
+/// by executor_timeout) under a `detect.settle` span; the wait lands in
+/// recovery_time, which is exactly what makes detection latency a
+/// measurable recovery component. Then the exponential backoff, under a
+/// `recover.backoff` span.
+inline sim::Task<void> settle_and_backoff(Cluster& cl, int job,
+                                          int ring_attempt, Duration backoff) {
+  obs::TraceSink& tr = cl.trace();
+  const obs::SpanId detect =
+      tr.begin("detect", "detect.settle", obs::kDriverPid, 0,
+               {{"job", job}, {"attempt", ring_attempt}});
+  co_await cl.health().await_settled();
+  tr.end(detect);
+  const obs::SpanId pause =
+      tr.begin("recover", "recover.backoff", obs::kDriverPid, 0,
+               {{"job", job},
+                {"attempt", ring_attempt},
+                {"backoff_ns", static_cast<std::int64_t>(backoff)}});
+  co_await cl.simulator().sleep(backoff);
+  tr.end(pause);
+}
+
+/// Runs `body` as one branch of a fork-join: its first exception lands in
+/// `error` (the joiner rethrows it), and `wg` is marked done either way, so
+/// a fault can never leave the joiner hanging.
+inline sim::Task<void> join_branch(sim::Task<void> body, sim::WaitGroup& wg,
+                                   std::exception_ptr& error) {
+  try {
+    co_await std::move(body);
+  } catch (...) {
+    if (!error) error = std::current_exception();
+  }
+  wg.done();
+}
+
+/// Recovery between failed ring-stage attempts: settle_and_backoff,
+/// optionally overlapped with the eager refold of partials lost with
+/// *physically dead* executors (`EngineConfig::overlap_recovery`).
 ///
-/// Sequential mode reproduces the pre-elastic span structure exactly
-/// (detect.settle then recover.backoff, back to back). Overlapped mode
-/// wraps both branches in one `recover.overlap` span: branch A waits out
-/// heartbeat detection and sleeps the backoff; branch B concurrently
-/// recomputes partials whose holders the fault fabric already killed — a
-/// lost partial is a physical fact, the same omniscience compute_attempt
-/// itself uses — onto executors that are both health-usable and alive.
-/// Partitions that cannot be placed yet are pushed back for the next
-/// boundary's residual refold; since every claim is a move, a partition is
-/// refolded by exactly one path. Results are bit-identical either way;
-/// only the timing of the recomputation changes.
+/// Sequential mode emits detect.settle then recover.backoff, back to back,
+/// and leaves every refold to the next boundary. Overlapped mode wraps both
+/// branches in one `recover.overlap` span and runs the eager refold
+/// (refold_partials without a ring) underneath the settle. Results are
+/// bit-identical either way; only the timing of the recomputation changes.
 template <typename T, typename U, typename V>
 sim::Task<void> recover_between_attempts(
     Cluster& cl, CachedRdd<T>& rdd, const SplitAggSpec<T, U, V>& spec, int job,
@@ -1162,27 +1051,9 @@ sim::Task<void> recover_between_attempts(
   const Duration backoff = cl.config().stage_retry_backoff
                            << (ring_attempt - 1);
   if (!cl.config().overlap_recovery) {
-    // With heartbeats on, the driver cannot yet tell which member is dead
-    // — rebuilding immediately would re-include it and fail again. Wait
-    // out detection (bounded by executor_timeout); the wait lands in
-    // recovery_time, which is exactly what makes detection latency a
-    // measurable recovery component.
-    const obs::SpanId detect =
-        tr.begin("detect", "detect.settle", obs::kDriverPid, 0,
-                 {{"job", job}, {"attempt", ring_attempt}});
-    co_await cl.health().await_settled();
-    tr.end(detect);
-    // Exponential backoff before re-running the stage.
-    const obs::SpanId pause =
-        tr.begin("recover", "recover.backoff", obs::kDriverPid, 0,
-                 {{"job", job},
-                  {"attempt", ring_attempt},
-                  {"backoff_ns", static_cast<std::int64_t>(backoff)}});
-    co_await cl.simulator().sleep(backoff);
-    tr.end(pause);
+    co_await settle_and_backoff(cl, job, ring_attempt, backoff);
     co_return;
   }
-
   obs::TraceSink::Scope overlap(
       tr, tr.begin("recover", "recover.overlap", obs::kDriverPid, 0,
                    {{"job", job},
@@ -1191,117 +1062,273 @@ sim::Task<void> recover_between_attempts(
   sim::WaitGroup wg(cl.simulator());
   wg.add(2);
   std::exception_ptr error;
-
-  struct Settle {
-    static sim::Task<void> go(Cluster& cl, int job, int ring_attempt,
-                              Duration backoff, sim::WaitGroup& wg,
-                              std::exception_ptr& error) {
-      obs::TraceSink& tr = cl.trace();
-      try {
-        const obs::SpanId detect =
-            tr.begin("detect", "detect.settle", obs::kDriverPid, 0,
-                     {{"job", job}, {"attempt", ring_attempt}});
-        co_await cl.health().await_settled();
-        tr.end(detect);
-        const obs::SpanId pause =
-            tr.begin("recover", "recover.backoff", obs::kDriverPid, 0,
-                     {{"job", job},
-                      {"attempt", ring_attempt},
-                      {"backoff_ns", static_cast<std::int64_t>(backoff)}});
-        co_await cl.simulator().sleep(backoff);
-        tr.end(pause);
-      } catch (...) {
-        if (!error) error = std::current_exception();
-      }
-      wg.done();
-    }
-  };
-
-  struct EagerRefold {
-    static sim::Task<void> go(Cluster& cl, CachedRdd<T>& rdd,
-                              const SplitAggSpec<T, U, V>& spec, int job,
-                              AggMetrics* m,
-                              std::vector<std::shared_ptr<U>>& per_exec,
-                              std::vector<std::vector<int>>& owned,
-                              sim::WaitGroup& wg, std::exception_ptr& error) {
-      obs::TraceSink& tr = cl.trace();
-      try {
-        const int num_exec = cl.num_executors();
-        for (int e = 0; e < num_exec; ++e) {
-          if (cl.executor_alive(e) ||
-              owned[static_cast<std::size_t>(e)].empty()) {
-            continue;
-          }
-          std::vector<int> lost =
-              std::move(owned[static_cast<std::size_t>(e)]);
-          owned[static_cast<std::size_t>(e)].clear();
-          per_exec[static_cast<std::size_t>(e)].reset();
-          obs::TraceSink::Scope refold_scope(
-              tr,
-              tr.begin("recover", "recover.refold", obs::kDriverPid, 0,
-                       {{"job", job},
-                        {"executor", e},
-                        {"partitions",
-                         static_cast<std::int64_t>(lost.size())}}));
-          for (int pid : lost) {
-            bool placed = false;
-            for (int attempt = 0; !placed; ++attempt) {
-              // Target: health-usable AND alive, re-picked per attempt —
-              // a dead-but-undetected executor would burn the whole retry
-              // budget before the monitor even declares it dead.
-              int target = -1;
-              const int pref = rdd.preferred_executor(pid);
-              for (int i = 0; i < num_exec; ++i) {
-                const int cand = (pref + i) % num_exec;
-                if (cl.executor_usable(cand) && cl.executor_alive(cand)) {
-                  target = cand;
-                  break;
-                }
-              }
-              if (target < 0) break;  // nowhere to place it right now.
-              try {
-                int ran_on = -1;
-                co_await compute_attempt(cl, rdd, spec.base,
-                                         TaskId{job, 1, pid, attempt},
-                                         &ran_on, target);
-                auto& dst = per_exec[static_cast<std::size_t>(ran_on)];
-                if (!dst) dst = std::make_shared<U>(spec.base.zero);
-                const U agg = fold_partition(rdd, spec.base, pid);
-                co_await cl.simulator().sleep(
-                    cl.merge_cost(spec.base.bytes(agg)));
-                spec.base.comb_op(*dst, agg);
-                owned[static_cast<std::size_t>(ran_on)].push_back(pid);
-                placed = true;
-              } catch (const TaskFailed&) {
-                cl.health().record_failure(target);
-                if (m) ++m->task_retries;
-                if (attempt + 1 >= cl.config().max_task_attempts) {
-                  throw std::runtime_error(
-                      "task exceeded max attempts; job aborted");
-                }
-              }
-            }
-            if (!placed) {
-              // Hand the partition back for the next boundary's residual
-              // refold; ownership moved here and moves back exactly once.
-              owned[static_cast<std::size_t>(e)].push_back(pid);
-            }
-          }
-        }
-      } catch (...) {
-        if (!error) error = std::current_exception();
-      }
-      wg.done();
-    }
-  };
-
-  cl.simulator().spawn(
-      Settle::go(cl, job, ring_attempt, backoff, wg, error));
-  cl.simulator().spawn(EagerRefold::go(cl, rdd, spec, job, m, per_exec,
-                                       owned, wg, error));
+  cl.simulator().spawn(join_branch(
+      settle_and_backoff(cl, job, ring_attempt, backoff), wg, error));
+  cl.simulator().spawn(join_branch(
+      refold_partials(cl, rdd, spec, job, m, nullptr, per_exec, owned), wg,
+      error));
   co_await wg.wait();
   overlap.close();
   if (error) std::rethrow_exception(error);
+}
+
+/// One aggregation job's frame, shared by the three entry points. Built
+/// first thing in the job coroutine, it rejects invalid engine settings,
+/// takes the job id, resets the caller's AggMetrics, marks the job active
+/// for the health monitor, arms JobMetricsGuard and opens the `job.*` span
+/// (tenant-attributed under the scheduler). Members are declared in that
+/// order, so they are destroyed in reverse: the span closes, then metrics
+/// publish, then the health monitor sees the job end. `spec_attempts`
+/// counts every racing task attempt; finish() or an abort path drains it
+/// before the job frame dies, so losing attempts never outlive the state
+/// they reference.
+struct JobFrame {
+  Cluster& cl;
+  AggMetrics local;
+  const int job;
+  AggMetrics* const m;
+  HealthJobGuard health;
+  JobMetricsGuard metrics;
+  obs::TraceSink::Scope span;
+  sim::WaitGroup spec_attempts;
+
+  JobFrame(Cluster& c, AggMetrics* out, const JobOptions& opt,
+           const char* span_name, const char* kind_counter)
+      : cl(validated(c)),
+        job(cl.next_job_id()),
+        m(reset(out ? out : &local, cl.simulator().now())),
+        health(cl.health()),
+        metrics{&cl, m, kind_counter, job, opt.tenant},
+        span(cl.trace(),
+             opt.tenant >= 0
+                 ? cl.trace().begin("job", span_name, obs::kDriverPid, 0,
+                                    {{"job", job},
+                                     {"tenant", opt.tenant},
+                                     {"sched_job", opt.sched_job}})
+                 : cl.trace().begin("job", span_name, obs::kDriverPid, 0,
+                                    {{"job", job}})),
+        spec_attempts(cl.simulator()) {}
+
+  /// Job boundary: admit arrived joiners (warm-up transfer) so they can
+  /// take compute tasks, and complete pending drains — no partials exist
+  /// yet — then the scheduler delay before the first stage.
+  sim::Task<void> start() {
+    co_await cl.sync_membership(/*complete_drains=*/true);
+    co_await cl.simulator().sleep(cl.spec().rates.scheduler_delay);
+  }
+
+  /// Completes the job: stamps `m->end`, emits the agg_compute/agg_reduce
+  /// phase spans, closes the job span, then drains losing speculative
+  /// attempts (`m->end` is already recorded, so the job's measured time
+  /// excludes zombies running out their last attempt).
+  sim::Task<void> finish() {
+    m->end = cl.simulator().now();
+    obs::TraceSink& tr = cl.trace();
+    tr.span_at("phase", "agg_compute", obs::kDriverPid, 0, m->start,
+               m->compute_done, {{"job", job}});
+    tr.span_at("phase", "agg_reduce", obs::kDriverPid, 0, m->compute_done,
+               m->end, {{"job", job}});
+    span.close();
+    co_await spec_attempts.wait();
+  }
+
+ private:
+  /// Throws std::invalid_argument naming the first engine setting no job
+  /// can run under. Checked per job, not at Cluster construction, because
+  /// callers may change `config()` between jobs.
+  static Cluster& validated(Cluster& cl) {
+    const EngineConfig& c = cl.config();
+    const auto require = [](bool ok, const char* what) {
+      if (!ok) {
+        throw std::invalid_argument(std::string("EngineConfig::") + what);
+      }
+    };
+    require(c.collective_timeout > 0, "collective_timeout must be > 0");
+    require(c.sai_parallelism >= 1, "sai_parallelism must be >= 1");
+    require(c.max_task_attempts >= 1, "max_task_attempts must be >= 1");
+    require(c.max_stage_attempts >= 1, "max_stage_attempts must be >= 1");
+    return cl;
+  }
+
+  /// Zeroes what a job accumulates; compute_done and end are stamped as
+  /// the job reaches them.
+  static AggMetrics* reset(AggMetrics* m, Time now) {
+    m->start = now;
+    m->task_retries = m->stage_restarts = m->ring_stage_attempts = 0;
+    m->recovery_time = 0;
+    m->speculative_launches = m->speculative_wins = 0;
+    return m;
+  }
+};
+
+
+/// What a ring rank's body sees once the shared prologue has run.
+template <typename U, typename V>
+struct RankCtx {
+  comm::Communicator& sc;
+  comm::AlgoId algo;
+  bool encoded;  ///< segments travel encoded (see run_ring_stage).
+  int exec;
+  int rank;
+  const U& local;
+  comm::SegOps<V>& ops;
+};
+
+/// One SpawnRDD task, pinned to the executor holding `rank` in the
+/// attempt's communicator. `rank` comes from the attempt's RingSnapshot:
+/// re-deriving it here (rank_of_executor) could trigger a mid-attempt
+/// rebuild if another executor has died since, leaving rank and
+/// communicator inconsistent. Runs the prologue every split stage shares —
+/// dispatch, control hop, core slot, task overhead, then the encode pass
+/// (encoded) or the dense split pass over the local aggregator — and then
+/// `body`, still holding the core slot.
+template <typename T, typename U, typename V, typename Attempt, typename Body>
+sim::Task<void> ring_rank(Cluster& cl, int job,
+                          const SplitAggSpec<T, U, V>& spec,
+                          comm::Communicator& sc, comm::AlgoId algo,
+                          bool encoded, int exec_id, int rank,
+                          std::shared_ptr<U> local, Attempt& st, Body& body) {
+  const Time dispatched =
+      cl.driver_loop().enqueue(cl.spec().rates.task_dispatch);
+  co_await cl.simulator().sleep_until(dispatched);
+  co_await cl.simulator().sleep(cl.control_latency(exec_id));
+  Executor& ex = cl.executor(exec_id);
+  co_await ex.cores().acquire();
+  sim::SemaphoreGuard slot(ex.cores());
+  co_await cl.simulator().sleep(cl.spec().rates.task_overhead);
+  if (encoded) {
+    co_await comp_encode_pass(cl, job, exec_id, rank, spec, *local);
+  } else {
+    // Splitting the aggregator into P*N segments is one pass over it.
+    co_await cl.simulator().sleep(cl.merge_cost(spec.base.bytes(*local)));
+  }
+  comm::SegOps<V> ops =
+      make_seg_ops(cl, job, encoded, exec_id, rank, spec, local);
+  RankCtx<U, V> ctx{sc, algo, encoded, exec_id, rank, *local, ops};
+  co_await body(st, ctx);
+}
+
+/// The split stages' shared runner (split_aggregate, split_allreduce): a
+/// reduced-result stage, then a SpawnRDD stage running collective `op` over
+/// the scalable communicator, retried at stage granularity.
+///
+/// Each ring attempt crosses the stage boundary (ring_boundary), resolves
+/// the algorithm (kAuto depends on the live rank count, so it is resolved
+/// after the membership snapshot, once, and every rank of the collective
+/// runs the same one), decides once whether segments travel encoded (the
+/// sparse ring with an encode_op), and runs one ring_rank per rank, each
+/// ending in `body(st, ctx)` over a fresh `Attempt st`. A successful
+/// attempt ends in `epilogue(st, encoded, per_exec)`, which yields the
+/// job's result. A CollectiveFailed attempt retires the communicator,
+/// counts a stage restart and — below `max_stage_attempts`, else the job
+/// aborts with `abort_msg` — runs recover_between_attempts before the next.
+///
+/// The attempt span (`span_name`) opens at the attempt's start and, on
+/// failure, closes at the instant the collective failure surfaces — making
+/// the failed span plus the recovery spans that follow (detect.settle +
+/// recover.backoff, or their recover.overlap wrapper) exactly the
+/// contiguous interval recovery_time accrues (obs::recovery_from_trace
+/// reconstructs it).
+template <typename Attempt, typename T, typename U, typename V, typename Body,
+          typename Epilogue>
+sim::Task<V> run_ring_stage(JobFrame& f, CachedRdd<T>& rdd,
+                            const SplitAggSpec<T, U, V>& spec,
+                            JobRing* job_ring, comm::CollectiveOp op,
+                            const char* span_name, const char* abort_msg,
+                            Body body, Epilogue epilogue) {
+  Cluster& cl = f.cl;
+  AggMetrics* m = f.m;
+  const int job = f.job;
+  obs::TraceSink& tr = cl.trace();
+  // Stage 1: reduced-result stage; exactly one aggregator per executor.
+  co_await f.start();
+  std::vector<int> task_exec;
+  auto blobs = co_await compute_stage_imm(cl, rdd, spec.base, job, m,
+                                          f.spec_attempts, &task_exec);
+  m->compute_done = cl.simulator().now();
+
+  // Per-executor merged values, keyed by *executor id* (stable across
+  // communicator rebuilds), plus which partitions fed each value — the
+  // recovery bookkeeping for refolding lost partials.
+  const int num_exec = cl.num_executors();
+  std::vector<std::shared_ptr<U>> per_exec(static_cast<std::size_t>(num_exec));
+  std::vector<std::vector<int>> owned(static_cast<std::size_t>(num_exec));
+  for (auto& b : blobs) {
+    per_exec[static_cast<std::size_t>(b.executor)] = b.value;
+  }
+  for (int t = 0; t < rdd.num_partitions(); ++t) {
+    owned[static_cast<std::size_t>(task_exec[static_cast<std::size_t>(t)])]
+        .push_back(t);
+  }
+
+  // Stage 2: SpawnRDD — one task pinned to each ring member. `prev_algo`
+  // is the concrete algorithm the previous attempt ran: ring re-formation
+  // keeps it (hysteresis in comm::retune_algo) unless the tuner's pick for
+  // the new ring size is decisively better. kAuto = no prior attempt.
+  comm::AlgoId prev_algo = comm::AlgoId::kAuto;
+  for (int ring_attempt = 1;; ++ring_attempt) {
+    m->ring_stage_attempts = ring_attempt;
+    const Time attempt_start = cl.simulator().now();
+    // Declared outside the try so the failure path stamps it too.
+    comm::AlgoId algo = cl.config().collective_algo;
+    obs::TraceSink::Scope attempt_scope(
+        tr, tr.begin("stage", span_name, obs::kDriverPid, 0,
+                     {{"job", job}, {"attempt", ring_attempt}}));
+    try {
+      co_await cl.simulator().sleep(cl.spec().rates.scheduler_delay);
+      // Stage boundary: membership sync, drained-partial migration, ring
+      // (re)formation and residual refold, all against one rank snapshot
+      // (see ring_boundary for why the ordering is load-bearing).
+      const RingSnapshot ring = co_await ring_boundary(
+          cl, rdd, spec, job, m, per_exec, owned, job_ring);
+      algo = comm::retune_algo(
+          op, cl.config().collective_algo, prev_algo,
+          cl.collective_cost_inputs(aggregator_bytes(spec, per_exec), ring.n,
+                                    aggregator_density(spec, per_exec)));
+      prev_algo = algo;
+      const bool encoded = algo == comm::AlgoId::kSparseRing &&
+                           static_cast<bool>(spec.encode_op);
+      cl.metrics().add(std::string("agg.collective.") + comm::to_string(algo),
+                       1);
+      Attempt st{};
+      std::exception_ptr error;
+      sim::WaitGroup wg(cl.simulator());
+      wg.add(ring.n);
+      for (int r = 0; r < ring.n; ++r) {
+        const int e = ring.rank_exec[static_cast<std::size_t>(r)];
+        auto localv = per_exec[static_cast<std::size_t>(e)];
+        // Executors that received no partition contribute a zero aggregator.
+        if (!localv) localv = std::make_shared<U>(spec.base.zero);
+        cl.simulator().spawn(join_branch(
+            ring_rank(cl, job, spec, *ring.sc, algo, encoded, e, r,
+                      std::move(localv), st, body),
+            wg, error));
+      }
+      co_await wg.wait();
+      if (error) std::rethrow_exception(error);
+      V result = co_await epilogue(st, encoded, per_exec);
+      attempt_scope.close({{"algo", static_cast<std::int64_t>(algo)}});
+      co_await f.finish();
+      co_return result;
+    } catch (const comm::CollectiveFailed&) {
+      // Stage-level cleanup: the failed attempt's communicator (with any
+      // stale in-flight messages) is retired; the next attempt gets a
+      // fresh one over the surviving topology.
+      cl.ring_invalidate(job_ring);
+      attempt_scope.close(
+          {{"failed", 1}, {"algo", static_cast<std::int64_t>(algo)}});
+    }
+    ++m->stage_restarts;
+    if (ring_attempt >= cl.config().max_stage_attempts) {
+      co_await f.spec_attempts.wait();
+      throw std::runtime_error(abort_msg);
+    }
+    // Settle-then-backoff — overlapped with eager refold of partials lost
+    // with dead executors when overlap_recovery is on.
+    co_await recover_between_attempts(cl, rdd, spec, job, ring_attempt, m,
+                                      per_exec, owned);
+    m->recovery_time += cl.simulator().now() - attempt_start;
+  }
 }
 
 }  // namespace detail
@@ -1313,44 +1340,18 @@ sim::Task<U> tree_aggregate(Cluster& cl, CachedRdd<T>& rdd,
                             const TreeAggSpec<T, U>& spec,
                             AggMetrics* metrics = nullptr,
                             const JobOptions& opt = {}) {
-  AggMetrics local;
-  AggMetrics* m = metrics ? metrics : &local;
-  const int job = cl.next_job_id();
-  m->start = cl.simulator().now();
-  m->task_retries = 0;
-  m->stage_restarts = 0;
-  m->ring_stage_attempts = 0;
-  m->recovery_time = 0;
-  m->speculative_launches = 0;
-  m->speculative_wins = 0;
-  HealthJobGuard health_guard(cl.health());
-  detail::JobMetricsGuard metrics_guard{&cl, m, "agg.jobs.tree", job,
-                                        opt.tenant};
-  obs::TraceSink& tr = cl.trace();
-  obs::TraceSink::Scope job_scope(
-      tr, opt.tenant >= 0
-              ? tr.begin("job", "job.tree_aggregate", obs::kDriverPid, 0,
-                         {{"job", job},
-                          {"tenant", opt.tenant},
-                          {"sched_job", opt.sched_job}})
-              : tr.begin("job", "job.tree_aggregate", obs::kDriverPid, 0,
-                         {{"job", job}}));
-  // Counts every racing attempt frame; drained before this frame dies so
-  // losing speculative attempts never outlive the state they reference.
-  sim::WaitGroup spec_attempts(cl.simulator());
-
-  // Job boundary: admit arrived joiners (warm-up transfer) and complete
-  // pending drains — a tree job holds no ring state to migrate.
-  co_await cl.sync_membership(/*complete_drains=*/true);
-  const bool imm = cl.config().agg_mode != AggMode::kTree;
-  co_await cl.simulator().sleep(cl.spec().rates.scheduler_delay);
+  detail::JobFrame f(cl, metrics, opt, "job.tree_aggregate", "agg.jobs.tree");
+  AggMetrics* m = f.m;
+  // A tree job holds no ring state, so the job boundary is all the
+  // membership work it does.
+  co_await f.start();
   std::vector<detail::Blob<U>> blobs;
-  if (imm) {
-    blobs = co_await detail::compute_stage_imm(cl, rdd, spec, job, m, nullptr,
-                                               &spec_attempts);
+  if (cl.config().agg_mode != AggMode::kTree) {
+    blobs = co_await detail::compute_stage_imm(cl, rdd, spec, f.job, m,
+                                               f.spec_attempts, nullptr);
   } else {
-    blobs = co_await detail::compute_stage_plain(cl, rdd, spec, job, m,
-                                                 &spec_attempts);
+    blobs = co_await detail::compute_stage_plain(cl, rdd, spec, f.job, m,
+                                                 f.spec_attempts);
   }
   m->compute_done = cl.simulator().now();
 
@@ -1389,7 +1390,7 @@ sim::Task<U> tree_aggregate(Cluster& cl, CachedRdd<T>& rdd,
     };
     for (int j = 0; j < num_partitions; ++j) {
       const int dest = j % cl.num_executors();
-      cl.simulator().spawn(Combine::go(cl, job,
+      cl.simulator().spawn(Combine::go(cl, f.job,
                                        std::move(groups[static_cast<std::size_t>(j)]),
                                        dest, spec,
                                        next[static_cast<std::size_t>(j)], wg));
@@ -1399,17 +1400,9 @@ sim::Task<U> tree_aggregate(Cluster& cl, CachedRdd<T>& rdd,
   }
 
   co_await cl.simulator().sleep(cl.spec().rates.scheduler_delay);
-  U result = co_await detail::driver_reduce<U>(cl, job, std::move(blobs),
+  U result = co_await detail::driver_reduce<U>(cl, f.job, std::move(blobs),
                                                spec.comb_op);
-  m->end = cl.simulator().now();
-  tr.span_at("phase", "agg_compute", obs::kDriverPid, 0, m->start,
-             m->compute_done, {{"job", job}});
-  tr.span_at("phase", "agg_reduce", obs::kDriverPid, 0, m->compute_done,
-             m->end, {{"job", job}});
-  job_scope.close();
-  // Drain losing speculative attempts (m->end is already recorded, so the
-  // job's measured time excludes zombies running out their last attempt).
-  co_await spec_attempts.wait();
+  co_await f.finish();
   co_return result;
 }
 
@@ -1431,230 +1424,71 @@ sim::Task<V> split_aggregate(Cluster& cl, CachedRdd<T>& rdd,
                              const SplitAggSpec<T, U, V>& spec,
                              AggMetrics* metrics = nullptr,
                              const JobOptions& opt = {}) {
-  AggMetrics local;
-  AggMetrics* m = metrics ? metrics : &local;
-  const int job = cl.next_job_id();
-  m->start = cl.simulator().now();
-  m->task_retries = 0;
-  m->stage_restarts = 0;
-  m->ring_stage_attempts = 0;
-  m->recovery_time = 0;
-  m->speculative_launches = 0;
-  m->speculative_wins = 0;
-  HealthJobGuard health_guard(cl.health());
-  detail::JobMetricsGuard metrics_guard{&cl, m, "agg.jobs.split", job,
-                                        opt.tenant};
-  obs::TraceSink& tr = cl.trace();
-  obs::TraceSink::Scope job_scope(
-      tr, opt.tenant >= 0
-              ? tr.begin("job", "job.split_aggregate", obs::kDriverPid, 0,
-                         {{"job", job},
-                          {"tenant", opt.tenant},
-                          {"sched_job", opt.sched_job}})
-              : tr.begin("job", "job.split_aggregate", obs::kDriverPid, 0,
-                         {{"job", job}}));
-  sim::WaitGroup spec_attempts(cl.simulator());
-
-  // Job boundary: admit arrived joiners before stage 1 so they can take
-  // compute tasks; no partials exist yet, so pending drains just complete.
-  co_await cl.sync_membership(/*complete_drains=*/true);
-
-  // Stage 1: reduced-result stage; exactly one aggregator per executor.
-  co_await cl.simulator().sleep(cl.spec().rates.scheduler_delay);
-  std::vector<int> task_exec;
-  auto blobs =
-      co_await detail::compute_stage_imm(cl, rdd, spec.base, job, m,
-                                         &task_exec, &spec_attempts);
-  m->compute_done = cl.simulator().now();
-
-  // Per-executor merged values, keyed by *executor id* (stable across
-  // communicator rebuilds), plus which partitions fed each value — the
-  // recovery bookkeeping for refolding lost partials.
-  const int num_exec = cl.num_executors();
-  std::vector<std::shared_ptr<U>> per_exec(static_cast<std::size_t>(num_exec));
-  std::vector<std::vector<int>> owned(static_cast<std::size_t>(num_exec));
-  for (auto& b : blobs) {
-    per_exec[static_cast<std::size_t>(b.executor)] = b.value;
-  }
-  for (int t = 0; t < rdd.num_partitions(); ++t) {
-    owned[static_cast<std::size_t>(task_exec[static_cast<std::size_t>(t)])]
-        .push_back(t);
-  }
-
-  // Stage 2: SpawnRDD — one task pinned to each live executor, retried at
-  // stage granularity on collective failure.
-  struct RingTask {
-    // `rank` is this executor's rank in `sc`, captured when the attempt's
-    // communicator was built: re-deriving it here (rank_of_executor) could
-    // trigger a mid-attempt rebuild if another executor has died since,
-    // leaving rank and communicator inconsistent.
-    static sim::Task<void> go(Cluster& cl, int job, comm::Communicator& sc,
-                              comm::AlgoId algo, int exec_id, int rank,
-                              const SplitAggSpec<T, U, V>& spec,
-                              std::shared_ptr<U> local,
-                              std::vector<std::pair<int, V>>& all_segs,
-                              std::uint64_t& total_v_bytes, sim::WaitGroup& wg,
-                              std::exception_ptr& error) {
-      try {
-        const Time dispatched =
-            cl.driver_loop().enqueue(cl.spec().rates.task_dispatch);
-        co_await cl.simulator().sleep_until(dispatched);
-        co_await cl.simulator().sleep(cl.control_latency(exec_id));
-        Executor& ex = cl.executor(exec_id);
-        co_await ex.cores().acquire();
-        sim::SemaphoreGuard slot(ex.cores());
-        co_await cl.simulator().sleep(cl.spec().rates.task_overhead);
-        if (algo == comm::AlgoId::kSparseRing && spec.encode_op) {
-          // The codec's gather pass emits the encoded segments directly,
-          // replacing the dense split pass.
-          co_await detail::comp_encode_pass(cl, job, algo, exec_id, rank,
-                                            spec, *local);
-        } else {
-          // Splitting the aggregator into P*N segments is one pass over it.
-          co_await cl.simulator().sleep(
-              cl.merge_cost(spec.base.bytes(*local)));
-        }
-        comm::SegOps<V> ops =
-            detail::make_seg_ops(cl, job, algo, exec_id, rank, spec, local);
+  detail::JobFrame f(cl, metrics, opt, "job.split_aggregate",
+                     "agg.jobs.split");
+  const int job = f.job;
+  // Every rank's P segments, gathered at the driver.
+  struct Gathered {
+    std::vector<std::pair<int, V>> segs;
+    std::uint64_t bytes = 0;
+  };
+  co_return co_await detail::run_ring_stage<Gathered>(
+      f, rdd, spec, opt.ring, comm::CollectiveOp::kReduceScatter, "stage.ring",
+      "ring stage exceeded max attempts; job aborted",
+      [&cl, &spec, job](Gathered& g,
+                        const detail::RankCtx<U, V>& r) -> sim::Task<void> {
         auto segs = co_await comm::CollectiveRegistry<V>::instance()
-                        .reduce_scatter(algo, sc, rank, ops);
-        if (!cl.executor_alive(exec_id)) {
+                        .reduce_scatter(r.algo, r.sc, r.rank, r.ops);
+        if (!cl.executor_alive(r.exec)) {
           throw comm::CollectiveFailed("executor died after reduce-scatter");
         }
         // Ship this task's P segments to the driver as its task result.
         std::uint64_t nbytes = 0;
         for (auto& [idx, v] : segs) nbytes += spec.v_bytes(v);
         const obs::SpanId ser = cl.trace().begin(
-            "ser", "ser.result", obs::exec_pid(exec_id), rank,
+            "ser", "ser.result", obs::exec_pid(r.exec), r.rank,
             {{"job", job}, {"bytes", static_cast<std::int64_t>(nbytes)}});
         co_await cl.simulator().sleep(cl.ser_time(nbytes));
         cl.trace().end(ser);
-        co_await cl.simulator().sleep(cl.control_latency(exec_id));
+        co_await cl.simulator().sleep(cl.control_latency(r.exec));
         if (nbytes > detail::kDirectResultLimit) {
-          co_await cl.fetch_blob(exec_id, Cluster::kDriver, nbytes);
+          co_await cl.fetch_blob(r.exec, Cluster::kDriver, nbytes);
         }
         const Time done =
             cl.driver_loop().enqueue(cl.driver_deser_time(nbytes));
         co_await cl.simulator().sleep_until(done);
-        for (auto& s : segs) all_segs.push_back(std::move(s));
-        total_v_bytes += nbytes;
-      } catch (...) {
-        if (!error) error = std::current_exception();
-      }
-      wg.done();
-    }
-  };
-
-  // The concrete algorithm the previous attempt ran: ring re-formation
-  // keeps it (hysteresis in comm::retune_algo) unless the tuner's pick for
-  // the new ring size is decisively better. kAuto = no prior attempt.
-  comm::AlgoId prev_algo = comm::AlgoId::kAuto;
-  for (int ring_attempt = 1;; ++ring_attempt) {
-    m->ring_stage_attempts = ring_attempt;
-    const Time attempt_start = cl.simulator().now();
-    bool attempt_failed = false;
-    // The algorithm is resolved once per attempt (inside the try, after the
-    // membership snapshot: kAuto depends on the live rank count), so every
-    // rank of one collective runs the same algorithm. Declared here so the
-    // failure path can stamp it on the closing span too.
-    comm::AlgoId algo = cl.config().collective_algo;
-    // The attempt span opens at attempt_start and, on failure, closes at
-    // the instant the collective failure surfaces — making the failed span
-    // plus the recovery spans that follow (detect.settle + recover.backoff,
-    // or their recover.overlap wrapper) exactly the contiguous interval
-    // recovery_time accrues (obs::recovery_from_trace reconstructs it).
-    obs::TraceSink::Scope attempt_scope(
-        tr, tr.begin("stage", "stage.ring", obs::kDriverPid, 0,
-                     {{"job", job}, {"attempt", ring_attempt}}));
-    try {
-      co_await cl.simulator().sleep(cl.spec().rates.scheduler_delay);
-      // Stage boundary: membership sync, drained-partial migration, ring
-      // (re)formation and residual refold, all against one rank snapshot
-      // (see ring_boundary for why the ordering is load-bearing).
-      const detail::RingSnapshot ring = co_await detail::ring_boundary(
-          cl, rdd, spec, job, m, per_exec, owned, opt.ring);
-      const int n = ring.n;
-      algo = comm::retune_algo(
-          comm::CollectiveOp::kReduceScatter, cl.config().collective_algo,
-          prev_algo,
-          cl.collective_cost_inputs(detail::aggregator_bytes(spec, per_exec),
-                                    n,
-                                    detail::aggregator_density(spec,
-                                                               per_exec)));
-      prev_algo = algo;
-      cl.metrics().add(std::string("agg.collective.") + comm::to_string(algo),
-                       1);
-      std::vector<std::pair<int, V>> all_segs;
-      std::uint64_t total_v_bytes = 0;
-      std::exception_ptr error;
-      sim::WaitGroup wg(cl.simulator());
-      wg.add(n);
-      for (int r = 0; r < n; ++r) {
-        const int e = ring.rank_exec[static_cast<std::size_t>(r)];
-        auto localv = per_exec[static_cast<std::size_t>(e)];
-        // Executors that received no partition contribute a zero aggregator.
-        if (!localv) localv = std::make_shared<U>(spec.base.zero);
-        cl.simulator().spawn(RingTask::go(cl, job, *ring.sc, algo, e, r, spec,
-                                          std::move(localv), all_segs,
-                                          total_v_bytes, wg, error));
-      }
-      co_await wg.wait();
-      if (error) std::rethrow_exception(error);
-
-      std::sort(all_segs.begin(), all_segs.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      // Sparse ring only: the driver densifies the compressed segments
-      // before concatenation — one codec scatter pass over the dense
-      // result (an array codec, not generic JVM folding), attributed to
-      // the "comp" category.
-      if (algo == comm::AlgoId::kSparseRing && spec.encode_op) {
-        const std::uint64_t dense_bytes =
-            detail::aggregator_bytes(spec, per_exec);
-        const Time t0 = cl.simulator().now();
-        const Time decoded =
-            cl.driver_loop().enqueue(cl.codec_cost(dense_bytes));
-        co_await cl.simulator().sleep_until(decoded);
-        tr.span_at("comp", "comp.decode", obs::kDriverPid, 0, t0, decoded,
-                   {{"job", job},
-                    {"bytes", static_cast<std::int64_t>(dense_bytes)}});
-      }
-      const Time done =
-          cl.driver_loop().enqueue(cl.driver_merge_cost(total_v_bytes));
-      co_await cl.simulator().sleep_until(done);
-      V result = spec.concat_op(all_segs);
-      m->end = cl.simulator().now();
-      attempt_scope.close({{"algo", static_cast<std::int64_t>(algo)}});
-      tr.span_at("phase", "agg_compute", obs::kDriverPid, 0, m->start,
-                 m->compute_done, {{"job", job}});
-      tr.span_at("phase", "agg_reduce", obs::kDriverPid, 0, m->compute_done,
-                 m->end, {{"job", job}});
-      job_scope.close();
-      co_await spec_attempts.wait();
-      co_return result;
-    } catch (const comm::CollectiveFailed&) {
-      // Stage-level cleanup: the failed attempt's communicator (with any
-      // stale in-flight messages) is retired; the next attempt gets a
-      // fresh one over the surviving topology.
-      cl.ring_invalidate(opt.ring);
-      attempt_scope.close(
-          {{"failed", 1}, {"algo", static_cast<std::int64_t>(algo)}});
-      attempt_failed = true;
-    }
-    if (attempt_failed) {
-      if (m) ++m->stage_restarts;
-      if (ring_attempt >= cl.config().max_stage_attempts) {
-        co_await spec_attempts.wait();
-        throw std::runtime_error(
-            "ring stage exceeded max attempts; job aborted");
-      }
-      // Settle-then-backoff — overlapped with eager refold of partials
-      // lost with dead executors when overlap_recovery is on.
-      co_await detail::recover_between_attempts(cl, rdd, spec, job,
-                                                ring_attempt, m, per_exec,
-                                                owned);
-      m->recovery_time += cl.simulator().now() - attempt_start;
-    }
-  }
+        for (auto& s : segs) g.segs.push_back(std::move(s));
+        g.bytes += nbytes;
+      },
+      [&cl, &spec, job](Gathered& g, bool encoded,
+                        const std::vector<std::shared_ptr<U>>& per_exec)
+          -> sim::Task<V> {
+        std::sort(g.segs.begin(), g.segs.end(),
+                  [](const auto& a, const auto& b) {
+                    return a.first < b.first;
+                  });
+        // Encoded attempts only: the driver densifies the compressed
+        // segments before concatenation — one codec scatter pass over the
+        // dense result (an array codec, not generic JVM folding),
+        // attributed to the "comp" category.
+        if (encoded) {
+          const std::uint64_t dense_bytes =
+              detail::aggregator_bytes(spec, per_exec);
+          const Time t0 = cl.simulator().now();
+          const Time decoded =
+              cl.driver_loop().enqueue(cl.codec_cost(dense_bytes));
+          co_await cl.simulator().sleep_until(decoded);
+          cl.trace().span_at("comp", "comp.decode", obs::kDriverPid, 0, t0,
+                             decoded,
+                             {{"job", job},
+                              {"bytes",
+                               static_cast<std::int64_t>(dense_bytes)}});
+        }
+        const Time done =
+            cl.driver_loop().enqueue(cl.driver_merge_cost(g.bytes));
+        co_await cl.simulator().sleep_until(done);
+        co_return spec.concat_op(g.segs);
+      });
 }
 
 /// Allreduce-flavoured split aggregation (extension; paper Section 6 notes
@@ -1665,201 +1499,57 @@ sim::Task<V> split_aggregate(Cluster& cl, CachedRdd<T>& rdd,
 /// value *resident on every executor*. The driver receives only a tiny
 /// digest. If `result_key >= 0`, each executor's replica is stored in its
 /// mutable object manager under that key so subsequent stages can use it
-/// without a broadcast.
+/// without a broadcast. Fault tolerance is split_aggregate's.
 template <typename T, typename U, typename V>
 sim::Task<V> split_allreduce(Cluster& cl, CachedRdd<T>& rdd,
                              const SplitAggSpec<T, U, V>& spec,
                              AggMetrics* metrics = nullptr,
                              std::int64_t result_key = -1,
                              const JobOptions& opt = {}) {
-  AggMetrics local;
-  AggMetrics* m = metrics ? metrics : &local;
-  const int job = cl.next_job_id();
-  m->start = cl.simulator().now();
-  m->task_retries = 0;
-  m->stage_restarts = 0;
-  m->ring_stage_attempts = 0;
-  m->recovery_time = 0;
-  m->speculative_launches = 0;
-  m->speculative_wins = 0;
-  HealthJobGuard health_guard(cl.health());
-  detail::JobMetricsGuard metrics_guard{&cl, m, "agg.jobs.allreduce", job,
-                                        opt.tenant};
-  obs::TraceSink& tr = cl.trace();
-  obs::TraceSink::Scope job_scope(
-      tr, opt.tenant >= 0
-              ? tr.begin("job", "job.split_allreduce", obs::kDriverPid, 0,
-                         {{"job", job},
-                          {"tenant", opt.tenant},
-                          {"sched_job", opt.sched_job}})
-              : tr.begin("job", "job.split_allreduce", obs::kDriverPid, 0,
-                         {{"job", job}}));
-  sim::WaitGroup spec_attempts(cl.simulator());
-
-  // Job boundary: admit arrived joiners and complete pending drains (same
-  // contract as split_aggregate).
-  co_await cl.sync_membership(/*complete_drains=*/true);
-  co_await cl.simulator().sleep(cl.spec().rates.scheduler_delay);
-  std::vector<int> task_exec;
-  auto blobs = co_await detail::compute_stage_imm(cl, rdd, spec.base, job, m,
-                                                  &task_exec, &spec_attempts);
-  m->compute_done = cl.simulator().now();
-
-  // Same recovery bookkeeping as split_aggregate: per-executor merged
-  // values keyed by executor id, plus the partitions that fed each one.
-  const int num_exec = cl.num_executors();
-  std::vector<std::shared_ptr<U>> per_exec(static_cast<std::size_t>(num_exec));
-  std::vector<std::vector<int>> owned(static_cast<std::size_t>(num_exec));
-  for (auto& b : blobs) {
-    per_exec[static_cast<std::size_t>(b.executor)] = b.value;
-  }
-  for (int t = 0; t < rdd.num_partitions(); ++t) {
-    owned[static_cast<std::size_t>(task_exec[static_cast<std::size_t>(t)])]
-        .push_back(t);
-  }
-
-  struct AllreduceTask {
-    // `rank` is captured from the attempt's communicator build (deriving it
-    // here could trigger a mid-attempt rebuild — see RingTask). Any failure
-    // lands in `error` and the attempt retries at stage granularity; the
-    // catch-all is what keeps the WaitGroup complete (no silent hang) when
-    // a fault strikes mid-allreduce.
-    static sim::Task<void> go(Cluster& cl, int job, comm::Communicator& sc,
-                              comm::AlgoId algo, int exec_id, int rank,
-                              const SplitAggSpec<T, U, V>& spec,
-                              std::shared_ptr<U> local,
-                              std::shared_ptr<V>& result,
-                              std::int64_t result_key, sim::WaitGroup& wg,
-                              std::exception_ptr& error) {
-      try {
-        const Time dispatched =
-            cl.driver_loop().enqueue(cl.spec().rates.task_dispatch);
-        co_await cl.simulator().sleep_until(dispatched);
-        co_await cl.simulator().sleep(cl.control_latency(exec_id));
-        Executor& ex = cl.executor(exec_id);
-        co_await ex.cores().acquire();
-        sim::SemaphoreGuard slot(ex.cores());
-        co_await cl.simulator().sleep(cl.spec().rates.task_overhead);
-        if (algo == comm::AlgoId::kSparseRing && spec.encode_op) {
-          // The codec's gather pass emits the encoded segments directly,
-          // replacing the dense split pass.
-          co_await detail::comp_encode_pass(cl, job, algo, exec_id, rank,
-                                            spec, *local);
-        } else {
-          co_await cl.simulator().sleep(
-              cl.merge_cost(spec.base.bytes(*local)));
-        }
-        comm::SegOps<V> ops =
-            detail::make_seg_ops(cl, job, algo, exec_id, rank, spec, local);
-        ops.concat = spec.concat_op;
+  detail::JobFrame f(cl, metrics, opt, "job.split_allreduce",
+                     "agg.jobs.allreduce");
+  const int job = f.job;
+  // Rank 0's replica, fresh per attempt.
+  using Replica = std::shared_ptr<V>;
+  co_return co_await detail::run_ring_stage<Replica>(
+      f, rdd, spec, opt.ring, comm::CollectiveOp::kAllreduce,
+      "stage.allreduce", "allreduce stage exceeded max attempts; job aborted",
+      [&cl, &spec, job, result_key](
+          Replica& result, const detail::RankCtx<U, V>& r) -> sim::Task<void> {
+        r.ops.concat = spec.concat_op;
         V full = co_await comm::CollectiveRegistry<V>::instance().allreduce(
-            algo, sc, rank, ops);
-        if (!cl.executor_alive(exec_id)) {
+            r.algo, r.sc, r.rank, r.ops);
+        if (!cl.executor_alive(r.exec)) {
           throw comm::CollectiveFailed("executor died after allreduce");
         }
-        // Sparse ring only: every rank densifies its replica — one codec
-        // scatter pass over the dense aggregator, attributed to the "comp"
-        // category.
-        if (algo == comm::AlgoId::kSparseRing && spec.encode_op) {
-          const std::uint64_t dense_bytes = spec.base.bytes(*local);
+        // Encoded attempts only: every rank densifies its replica — one
+        // codec scatter pass over the dense aggregator, attributed to the
+        // "comp" category.
+        if (r.encoded) {
+          const std::uint64_t dense_bytes = spec.base.bytes(r.local);
           const obs::SpanId dec = cl.trace().begin(
-              "comp", "comp.decode", obs::exec_pid(exec_id), rank,
-              {{"job", job}, {"bytes", static_cast<std::int64_t>(dense_bytes)}});
+              "comp", "comp.decode", obs::exec_pid(r.exec), r.rank,
+              {{"job", job},
+               {"bytes", static_cast<std::int64_t>(dense_bytes)}});
           co_await cl.simulator().sleep(cl.codec_cost(dense_bytes));
           cl.trace().end(dec);
         }
         // Assembling the replica is one pass over it.
         co_await cl.simulator().sleep(cl.merge_cost(spec.v_bytes(full)));
         // Only a digest (loss/status) travels to the driver.
-        co_await cl.simulator().sleep(cl.control_latency(exec_id));
+        co_await cl.simulator().sleep(cl.control_latency(r.exec));
         (void)cl.driver_loop().enqueue(sim::microseconds(20));
-        if (rank == 0) result = std::make_shared<V>(full);
+        if (r.rank == 0) result = std::make_shared<V>(full);
         if (result_key >= 0) {
-          auto& obj = ex.mutable_object(result_key, cl.simulator());
+          auto& obj =
+              cl.executor(r.exec).mutable_object(result_key, cl.simulator());
           obj.value = std::make_shared<V>(std::move(full));
         }
-      } catch (...) {
-        if (!error) error = std::current_exception();
-      }
-      wg.done();
-    }
-  };
-
-  // Previous attempt's concrete algorithm (hysteresis on re-formation).
-  comm::AlgoId prev_algo = comm::AlgoId::kAuto;
-  for (int ring_attempt = 1;; ++ring_attempt) {
-    m->ring_stage_attempts = ring_attempt;
-    const Time attempt_start = cl.simulator().now();
-    bool attempt_failed = false;
-    // Resolved per attempt from the live membership (see split_aggregate).
-    comm::AlgoId algo = cl.config().collective_algo;
-    // Same failed-span / recovery-span contiguity contract as the ring
-    // stage of split_aggregate (obs::recovery_from_trace relies on it).
-    obs::TraceSink::Scope attempt_scope(
-        tr, tr.begin("stage", "stage.allreduce", obs::kDriverPid, 0,
-                     {{"job", job}, {"attempt", ring_attempt}}));
-    try {
-      co_await cl.simulator().sleep(cl.spec().rates.scheduler_delay);
-      // Shared stage boundary: membership sync, drained-partial migration,
-      // ring (re)formation, residual refold — one rank snapshot throughout
-      // (see split_aggregate / ring_boundary for why).
-      const detail::RingSnapshot ring = co_await detail::ring_boundary(
-          cl, rdd, spec, job, m, per_exec, owned, opt.ring);
-      const int n = ring.n;
-      algo = comm::retune_algo(
-          comm::CollectiveOp::kAllreduce, cl.config().collective_algo,
-          prev_algo,
-          cl.collective_cost_inputs(detail::aggregator_bytes(spec, per_exec),
-                                    n,
-                                    detail::aggregator_density(spec,
-                                                               per_exec)));
-      prev_algo = algo;
-      cl.metrics().add(std::string("agg.collective.") + comm::to_string(algo),
-                       1);
-      std::shared_ptr<V> result;  // fresh per attempt: rank 0 sets it.
-      std::exception_ptr error;
-      sim::WaitGroup wg(cl.simulator());
-      wg.add(n);
-      for (int r = 0; r < n; ++r) {
-        const int e = ring.rank_exec[static_cast<std::size_t>(r)];
-        auto localv = per_exec[static_cast<std::size_t>(e)];
-        if (!localv) localv = std::make_shared<U>(spec.base.zero);
-        cl.simulator().spawn(AllreduceTask::go(cl, job, *ring.sc, algo, e, r,
-                                               spec, std::move(localv), result,
-                                               result_key, wg, error));
-      }
-      co_await wg.wait();
-      if (error) std::rethrow_exception(error);
-      m->end = cl.simulator().now();
-      attempt_scope.close({{"algo", static_cast<std::int64_t>(algo)}});
-      tr.span_at("phase", "agg_compute", obs::kDriverPid, 0, m->start,
-                 m->compute_done, {{"job", job}});
-      tr.span_at("phase", "agg_reduce", obs::kDriverPid, 0, m->compute_done,
-                 m->end, {{"job", job}});
-      job_scope.close();
-      co_await spec_attempts.wait();
-      co_return std::move(*result);
-    } catch (const comm::CollectiveFailed&) {
-      cl.ring_invalidate(opt.ring);
-      attempt_scope.close(
-          {{"failed", 1}, {"algo", static_cast<std::int64_t>(algo)}});
-      attempt_failed = true;
-    }
-    if (attempt_failed) {
-      if (m) ++m->stage_restarts;
-      if (ring_attempt >= cl.config().max_stage_attempts) {
-        co_await spec_attempts.wait();
-        throw std::runtime_error(
-            "allreduce stage exceeded max attempts; job aborted");
-      }
-      // Same shared overlap path as split_aggregate: settle + backoff, with
-      // eager refold running underneath when overlap_recovery is on.
-      co_await detail::recover_between_attempts(cl, rdd, spec, job,
-                                                ring_attempt, m, per_exec,
-                                                owned);
-      m->recovery_time += cl.simulator().now() - attempt_start;
-    }
-  }
+      },
+      [](Replica& result, bool,
+         const std::vector<std::shared_ptr<U>>&) -> sim::Task<V> {
+        co_return std::move(*result);
+      });
 }
 
 }  // namespace sparker::engine

@@ -224,20 +224,14 @@ class Cluster {
   /// Tuner inputs for a collective over the scalable communicator: `n`
   /// ranks (the live membership of the current stage attempt), each moving
   /// a `bytes`-sized aggregator over the SC link with the configured
-  /// channel parallelism. Two situational adjustments layer on top:
-  /// pending-membership lookahead (flag-gated) tunes for the post-churn
-  /// ring size, and when several scheduled jobs run concurrent rings the
-  /// NIC bandwidth is divided by the ring count so each job tunes for its
-  /// fair slice of the shared wire.
+  /// channel parallelism. When several scheduled jobs run concurrent rings
+  /// the NIC bandwidth is divided by the ring count, so each job tunes for
+  /// its fair slice of the shared wire.
   /// `density` is the estimated nonzero fraction of the aggregator (the
   /// split spec's density_op when present, 1.0 otherwise); the sparse-ring
   /// pricing is the only consumer.
   comm::CollectiveCostInputs collective_cost_inputs(
       std::uint64_t bytes, int n, double density = 1.0) const {
-    if (cfg_.membership_lookahead) {
-      n += membership_->pending_ring_delta();
-      if (n < 1) n = 1;
-    }
     comm::CollectiveCostInputs in = comm::cost_inputs(
         spec_, spec_.sc_link, bytes, n, cfg_.sai_parallelism);
     if (active_rings_ > 1) in.nic_bw /= active_rings_;

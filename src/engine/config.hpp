@@ -216,10 +216,10 @@ struct EngineConfig {
   bool topology_aware = true;  ///< sort executors by hostname for the ring.
   int max_task_attempts = 4;   ///< task retries before the job fails.
   int max_stage_attempts = 4;  ///< stage (collective) retries before failing.
-  /// A collective recv hung past this deadline raises CollectiveFailed
-  /// (0 disables detection and restores the pre-fault-fabric deadlock
-  /// behaviour). The default sits far above any legitimate recv wait in
-  /// the modeled clusters, so fault-free runs never time out.
+  /// A collective recv hung past this deadline raises CollectiveFailed;
+  /// must be > 0 (jobs reject anything else at start). The default sits far
+  /// above any legitimate recv wait in the modeled clusters, so fault-free
+  /// runs never time out.
   sim::Duration collective_timeout = sim::seconds(30);
   /// Base pause before re-running a failed ring stage; doubles per attempt.
   sim::Duration stage_retry_backoff = sim::milliseconds(50);
@@ -228,12 +228,6 @@ struct EngineConfig {
   /// changes *when* recovery work happens (results are bit-identical); the
   /// overlap is attributed via the `recover.overlap` trace span.
   bool overlap_recovery = true;
-  /// Pending-membership lookahead for the collective tuner: when a join or
-  /// drain has been announced but not yet enacted at a stage boundary, tune
-  /// for the post-churn ring size instead of reacting after admission.
-  /// Never changes results (only which algorithm the kAuto tuner picks), but
-  /// off by default so existing tuner-validation goldens are untouched.
-  bool membership_lookahead = false;
   /// Publish per-job metric series (`job.<id>.*`) from JobMetricsGuard in
   /// addition to the cluster-lifetime aggregates. Keyed by the cluster's
   /// unique job id, so concurrent or back-to-back jobs never collide. Off

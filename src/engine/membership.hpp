@@ -127,19 +127,6 @@ class MembershipManager {
     return out;
   }
 
-  /// Net ring-size change announced but not yet enacted: arrived joiners
-  /// awaiting stage-boundary admission minus members currently draining.
-  /// The collective tuner consults this under
-  /// `EngineConfig::membership_lookahead` to tune for the post-churn ring
-  /// instead of re-tuning one ring formation late.
-  int pending_ring_delta() const {
-    int delta = static_cast<int>(admittable_joiners().size());
-    for (int e = 0; e < num_executors(); ++e) {
-      if (draining(e)) --delta;
-    }
-    return delta;
-  }
-
   /// True when a stage boundary has membership work to do (admissions or
   /// drain completions). Cheap enough to poll per stage.
   bool boundary_work_pending() const {

@@ -1,9 +1,10 @@
 // Engine tests: RDD semantics, agreement of tree / tree+IMM / split
 // aggregation with a sequential reference, Spark's tree reduction schedule,
 // fault-injection semantics (task retry vs stage restart), stragglers, the
-// timing relationships the paper's Figure 16 depends on, and the aggregator
+// timing relationships the paper's Figure 16 depends on, the aggregator
 // lifetime contract (which attempt folds a partition, and how many task
-// aggregators are alive at once).
+// aggregators are alive at once), and the rejection of invalid engine
+// settings at job start.
 
 #include <gtest/gtest.h>
 
@@ -238,29 +239,46 @@ TEST(TreeAggregate, MetricsArePopulated) {
   EXPECT_EQ(m.stage_restarts, 0);
 }
 
+// Turns speculation on with a multiplier no task can exceed: the monitor
+// ticks but never duplicates, so every compute stage is a race with one
+// entrant — which must behave exactly like speculation off.
+void speculate_without_duplicates(Cluster& cl) {
+  cl.config().health.speculation = true;
+  cl.config().health.speculation_interval = sim::milliseconds(1);
+  cl.config().health.speculation_multiplier = 1e9;
+}
+
 TEST(TreeAggregate, TaskFailureRetriesJustThatTask) {
-  Simulator sim;
-  Cluster cl(sim, small_spec());
-  cl.config().agg_mode = AggMode::kTree;
-  int failures_injected = 0;
-  cl.config().faults.should_fail = [&](const TaskId& id) {
-    if (id.stage == 0 && id.task == 3 && id.attempt == 0) {
-      ++failures_injected;
-      return true;
-    }
-    return false;
-  };
-  CachedRdd<std::int64_t> rdd(8, cl.num_executors(), row_gen(10));
-  auto spec = sum_spec(8);
-  const Vec want = sequential_reference(rdd, spec);
-  AggMetrics m;
-  auto job = [&]() -> Task<Vec> {
-    co_return co_await tree_aggregate(cl, rdd, spec, &m);
-  };
-  EXPECT_EQ(sim.run_task(job()), want);
-  EXPECT_EQ(failures_injected, 1);
-  EXPECT_EQ(m.task_retries, 1);
-  EXPECT_EQ(m.stage_restarts, 0);
+  sim::Time end_without_speculation = 0;
+  for (const bool speculation : {false, true}) {
+    SCOPED_TRACE(speculation ? "speculation on" : "speculation off");
+    Simulator sim;
+    Cluster cl(sim, small_spec());
+    cl.config().agg_mode = AggMode::kTree;
+    if (speculation) speculate_without_duplicates(cl);
+    int failures_injected = 0;
+    cl.config().faults.should_fail = [&](const TaskId& id) {
+      if (id.stage == 0 && id.task == 3 && id.attempt == 0) {
+        ++failures_injected;
+        return true;
+      }
+      return false;
+    };
+    CachedRdd<std::int64_t> rdd(8, cl.num_executors(), row_gen(10));
+    auto spec = sum_spec(8);
+    const Vec want = sequential_reference(rdd, spec);
+    AggMetrics m;
+    auto job = [&]() -> Task<Vec> {
+      co_return co_await tree_aggregate(cl, rdd, spec, &m);
+    };
+    EXPECT_EQ(sim.run_task(job()), want);
+    EXPECT_EQ(failures_injected, 1);
+    EXPECT_EQ(m.task_retries, 1);
+    EXPECT_EQ(m.stage_restarts, 0);
+    EXPECT_EQ(m.speculative_launches, 0);
+    if (!speculation) end_without_speculation = m.end;
+    EXPECT_EQ(m.end, end_without_speculation);
+  }
 }
 
 TEST(TreeAggregate, PersistentFailureAbortsJob) {
@@ -581,52 +599,69 @@ TreeAggSpec<std::int64_t, Vec> fold_counting_spec(int dim,
 }
 
 TEST(FoldContract, FailedAttemptsNeverFold) {
-  // Plain stage: tasks 3 and 5 fail one and two attempts; each partition
-  // is still delivered, and folded, exactly once.
-  {
-    Simulator sim;
-    Cluster cl(sim, small_spec());
-    cl.config().agg_mode = AggMode::kTree;
-    cl.config().faults.should_fail = [](const TaskId& id) {
-      return (id.task == 3 && id.attempt == 0) ||
-             (id.task == 5 && id.attempt < 2);
-    };
-    CachedRdd<std::int64_t> rdd(8, cl.num_executors(), row_gen(10));
-    std::vector<int> folds(8, 0);
-    auto spec = fold_counting_spec(8, folds);
-    const Vec want = sequential_reference(rdd, sum_spec(8));
-    AggMetrics m;
-    auto job = [&]() -> Task<Vec> {
-      co_return co_await tree_aggregate(cl, rdd, spec, &m);
-    };
-    EXPECT_EQ(sim.run_task(job()), want);
-    EXPECT_EQ(m.task_retries, 3);
-    EXPECT_EQ(folds, std::vector<int>(8, 1));
-  }
-  // IMM stage: task 2's first attempt fails and restarts the stage. Every
-  // other task delivered into the discarded stage attempt and delivers
-  // again; task 2 delivers once.
-  {
-    Simulator sim;
-    Cluster cl(sim, small_spec());
-    cl.config().agg_mode = AggMode::kSplit;
-    cl.config().faults.should_fail = [](const TaskId& id) {
-      return id.stage == 0 && id.task == 2 && id.attempt == 0;
-    };
-    CachedRdd<std::int64_t> rdd(8, cl.num_executors(), row_gen(10));
-    std::vector<int> folds(8, 0);
-    auto sspec = split_sum_spec(8);
-    sspec.base = fold_counting_spec(8, folds);
-    const Vec want = sequential_reference(rdd, sum_spec(8));
-    AggMetrics m;
-    auto job = [&]() -> Task<Vec> {
-      co_return co_await split_aggregate(cl, rdd, sspec, &m);
-    };
-    EXPECT_EQ(sim.run_task(job()), want);
-    EXPECT_EQ(m.stage_restarts, 1);
-    std::vector<int> expect(8, 2);
-    expect[2] = 1;
-    EXPECT_EQ(folds, expect);
+  // Plain stage (task-level retry) and IMM stage (stage restart), each with
+  // speculation off and with a speculation monitor that never duplicates:
+  // both failure policies must come out the same either way.
+  sim::Time plain_end = 0, imm_end = 0;
+  for (const bool speculation : {false, true}) {
+    SCOPED_TRACE(speculation ? "speculation on" : "speculation off");
+    // Plain stage: tasks 3 and 5 fail one and two attempts; each partition
+    // is still delivered, and folded, exactly once.
+    {
+      Simulator sim;
+      Cluster cl(sim, small_spec());
+      cl.config().agg_mode = AggMode::kTree;
+      if (speculation) speculate_without_duplicates(cl);
+      cl.config().faults.should_fail = [](const TaskId& id) {
+        return (id.task == 3 && id.attempt == 0) ||
+               (id.task == 5 && id.attempt < 2);
+      };
+      CachedRdd<std::int64_t> rdd(8, cl.num_executors(), row_gen(10));
+      std::vector<int> folds(8, 0);
+      auto spec = fold_counting_spec(8, folds);
+      const Vec want = sequential_reference(rdd, sum_spec(8));
+      AggMetrics m;
+      auto job = [&]() -> Task<Vec> {
+        co_return co_await tree_aggregate(cl, rdd, spec, &m);
+      };
+      EXPECT_EQ(sim.run_task(job()), want);
+      EXPECT_EQ(m.task_retries, 3);
+      EXPECT_EQ(m.stage_restarts, 0);
+      EXPECT_EQ(m.speculative_launches, 0);
+      EXPECT_EQ(folds, std::vector<int>(8, 1));
+      if (!speculation) plain_end = m.end;
+      EXPECT_EQ(m.end, plain_end);
+    }
+    // IMM stage: task 2's first attempt fails and restarts the stage. Every
+    // other task delivered into the discarded stage attempt and delivers
+    // again; task 2 delivers once.
+    {
+      Simulator sim;
+      Cluster cl(sim, small_spec());
+      cl.config().agg_mode = AggMode::kSplit;
+      if (speculation) speculate_without_duplicates(cl);
+      cl.config().faults.should_fail = [](const TaskId& id) {
+        return id.stage == 0 && id.task == 2 && id.attempt == 0;
+      };
+      CachedRdd<std::int64_t> rdd(8, cl.num_executors(), row_gen(10));
+      std::vector<int> folds(8, 0);
+      auto sspec = split_sum_spec(8);
+      sspec.base = fold_counting_spec(8, folds);
+      const Vec want = sequential_reference(rdd, sum_spec(8));
+      AggMetrics m;
+      auto job = [&]() -> Task<Vec> {
+        co_return co_await split_aggregate(cl, rdd, sspec, &m);
+      };
+      EXPECT_EQ(sim.run_task(job()), want);
+      EXPECT_EQ(m.stage_restarts, 1);
+      EXPECT_EQ(m.task_retries, 0);
+      EXPECT_EQ(m.speculative_launches, 0);
+      std::vector<int> expect(8, 2);
+      expect[2] = 1;
+      EXPECT_EQ(folds, expect);
+      if (!speculation) imm_end = m.end;
+      EXPECT_EQ(m.end, imm_end);
+    }
   }
 }
 
@@ -764,6 +799,50 @@ TEST(FoldContract, ThrowingSeqOpAbortsWithItsMessage) {
       EXPECT_STREQ(e.what(), "seq_op rejected row 3005");
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Engine settings no job can run under are rejected when the job starts,
+// naming the field (tests change config() after the cluster is built, so
+// the check cannot live in the Cluster constructor alone).
+// ---------------------------------------------------------------------------
+
+void expect_job_rejects(void (*corrupt)(EngineConfig&), const char* field) {
+  Simulator sim;
+  Cluster cl(sim, small_spec());
+  corrupt(cl.config());
+  CachedRdd<std::int64_t> rdd(4, cl.num_executors(), row_gen(5));
+  auto spec = sum_spec(4);
+  auto job = [&]() -> Task<Vec> {
+    co_return co_await tree_aggregate(cl, rdd, spec);
+  };
+  try {
+    (void)sim.run_task(job());
+    ADD_FAILURE() << "job ran with an invalid " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ConfigValidation, RejectsNonPositiveCollectiveTimeout) {
+  expect_job_rejects([](EngineConfig& c) { c.collective_timeout = 0; },
+                     "collective_timeout");
+}
+
+TEST(ConfigValidation, RejectsSaiParallelismBelowOne) {
+  expect_job_rejects([](EngineConfig& c) { c.sai_parallelism = 0; },
+                     "sai_parallelism");
+}
+
+TEST(ConfigValidation, RejectsMaxTaskAttemptsBelowOne) {
+  expect_job_rejects([](EngineConfig& c) { c.max_task_attempts = 0; },
+                     "max_task_attempts");
+}
+
+TEST(ConfigValidation, RejectsMaxStageAttemptsBelowOne) {
+  expect_job_rejects([](EngineConfig& c) { c.max_stage_attempts = 0; },
+                     "max_stage_attempts");
 }
 
 }  // namespace

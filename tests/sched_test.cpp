@@ -595,37 +595,5 @@ TEST(SchedDecay, DecayedScheduleIsDeterministic) {
   EXPECT_EQ(a.t1_started, b.t1_started);
 }
 
-// ---------------------------------------------------------------------------
-// Pending-membership lookahead for the collective tuner (flag-gated).
-
-Task<void> sleep_until_settled(Simulator& sim, sim::Duration d) {
-  co_await sim.sleep(d);
-}
-
-TEST(SchedLookahead, AnnouncedJoinAdjustsTunerRanks) {
-  e::EngineConfig cfg = mt_cfg();
-  cfg.membership.join(sim::milliseconds(1), 5);
-  Simulator sim;
-  e::Cluster cl(sim, mt_spec(), cfg);
-  sim.run_task(sleep_until_settled(sim, sim::milliseconds(2)));
-
-  // Executor 5 has announced but is not yet admitted: 5 ring members live.
-  EXPECT_EQ(cl.collective_cost_inputs(kAggBytes, 5).n, 5);  // flag off.
-  cl.config().membership_lookahead = true;
-  EXPECT_EQ(cl.collective_cost_inputs(kAggBytes, 5).n, 6);  // tunes ahead.
-}
-
-TEST(SchedLookahead, AnnouncedDrainAdjustsTunerRanks) {
-  e::EngineConfig cfg = mt_cfg();
-  cfg.membership.decommission(sim::milliseconds(1), 4);
-  Simulator sim;
-  e::Cluster cl(sim, mt_spec(), cfg);
-  sim.run_task(sleep_until_settled(sim, sim::milliseconds(2)));
-
-  EXPECT_EQ(cl.collective_cost_inputs(kAggBytes, 6).n, 6);  // flag off.
-  cl.config().membership_lookahead = true;
-  EXPECT_EQ(cl.collective_cost_inputs(kAggBytes, 6).n, 5);  // tunes ahead.
-}
-
 }  // namespace
 }  // namespace sparker
