@@ -6,7 +6,8 @@
 // Usage:
 //   ./build/examples/reduce_scatter_playground
 //       [executors=48] [parallelism=4] [msg_mb=256] [topo=1]
-//       [algo=auto|ring|halving|pairwise|rabenseifner|driver_funnel]
+//       [algo=auto|ring|halving|pairwise|rabenseifner|driver_funnel|
+//             sparse_ring]
 //       [backend=sc|bm|mpi]
 
 #include <cstdio>

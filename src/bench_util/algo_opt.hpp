@@ -11,7 +11,7 @@
 /// Shared `--algo <name>` command-line handling for the bench binaries:
 /// picks the collective algorithm dispatched through
 /// comm::CollectiveRegistry (ring, halving, pairwise, rabenseifner,
-/// driver_funnel, or auto for the cost-model tuner).
+/// driver_funnel, sparse_ring, or auto for the cost-model tuner).
 
 namespace sparker::bench {
 

@@ -4,7 +4,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -19,8 +18,9 @@
 /// * `ring_reduce_scatter` — the paper's algorithm (Section 4.2, Figure 11):
 ///   P channel-threads per rank, each running a ring reduce-scatter over its
 ///   own N-segment slice of the P*N segment space.
-/// * `ring_allgather` / `rabenseifner_allreduce` — the state-of-the-art
-///   composition the split-aggregation interface unlocks (paper Section 7).
+/// * `ring_allgather` — with the ring reduce-scatter, the Rabenseifner
+///   allreduce the split-aggregation interface unlocks (paper Section 7);
+///   comm::CollectiveRegistry composes it.
 /// * `binomial_reduce` — the tree reduction Spark effectively performs.
 /// * `halving_reduce_scatter` — recursive halving with a non-power-of-two
 ///   fold, modeled after MPICH; used as the "MPI" reference in Figure 15.
@@ -237,19 +237,6 @@ sim::Task<std::vector<Seg<V>>> ring_allgather(Communicator& c, int rank,
   co_return all;
 }
 
-/// Rabenseifner-style allreduce: ring reduce-scatter + ring allgather +
-/// concatOp. Returns the fully reduced value on every rank.
-template <typename V>
-sim::Task<V> rabenseifner_allreduce(Communicator& c, int rank,
-                                    const SegOps<V>& ops) {
-  if (!ops.concat) throw std::invalid_argument("allreduce requires concatOp");
-  auto owned = co_await ring_reduce_scatter(c, rank, ops);
-  auto all = co_await ring_allgather(c, rank, ops, std::move(owned));
-  std::sort(all.begin(), all.end(),
-            [](const Seg<V>& a, const Seg<V>& b) { return a.first < b.first; });
-  co_return ops.concat(all);
-}
-
 /// Binomial-tree reduction of whole (unsplit) values to rank 0 — the
 /// non-scalable baseline. Returns the result on rank 0, nullopt elsewhere.
 template <typename V>
@@ -292,17 +279,17 @@ sim::Task<std::optional<Seg<V>>> halving_reduce_scatter(Communicator& c,
   std::vector<std::optional<V>> have(static_cast<std::size_t>(n));
   for (int j = 0; j < n; ++j) have[static_cast<std::size_t>(j)] = ops.split(j, n);
 
-  auto pack = [&](int lo, int hi) {
+  // One message carrying the segments `each` visits (it calls its argument
+  // per segment index), moved out of `have`.
+  auto pack = [&](auto&& each) {
     auto payload = std::make_shared<SegVec>();
-    std::uint64_t total = 0;
-    for (int j = lo; j < hi; ++j) {
+    Message m;
+    each([&](int j) {
       auto& slot = have[static_cast<std::size_t>(j)];
-      total += ops.bytes(*slot);
+      m.bytes += ops.bytes(*slot);
       payload->push_back({j, std::move(*slot)});
       slot.reset();
-    }
-    Message m;
-    m.bytes = total;
+    });
     m.payload = payload;
     return m;
   };
@@ -322,7 +309,9 @@ sim::Task<std::optional<Seg<V>>> halving_reduce_scatter(Communicator& c,
   // ---- fold phase (non-power-of-two) ----
   if (rank >= g_size) {
     // Send everything to the representative, wait for our segment back.
-    c.post(rank, rank - g_size, 0, pack(0, n));
+    c.post(rank, rank - g_size, 0, pack([&](auto&& take) {
+             for (int j = 0; j < n; ++j) take(j);
+           }));
     Message back = co_await c.recv(rank, rank - g_size, 0);
     auto segs = std::static_pointer_cast<SegVec>(back.payload);
     co_return Seg<V>{segs->front().first, std::move(segs->front().second)};
@@ -349,19 +338,10 @@ sim::Task<std::optional<Seg<V>>> halving_reduce_scatter(Communicator& c,
     const bool keep_low = rank < partner;
     const int send_lo = keep_low ? mid : lo;
     const int send_hi = keep_low ? hi : mid;
-    // Pack the segments of group ranks [send_lo, send_hi).
-    auto payload = std::make_shared<SegVec>();
-    std::uint64_t total = 0;
-    seg_range(send_lo, send_hi, [&](int s) {
-      auto& slot = have[static_cast<std::size_t>(s)];
-      total += ops.bytes(*slot);
-      payload->push_back({s, std::move(*slot)});
-      slot.reset();
-    });
-    Message m;
-    m.bytes = total;
-    m.payload = payload;
-    c.post(rank, partner, 0, std::move(m));
+    // Send the segments of group ranks [send_lo, send_hi).
+    c.post(rank, partner, 0, pack([&](auto&& take) {
+             seg_range(send_lo, send_hi, take);
+           }));
     Message in = co_await c.recv(rank, partner, 0);
     co_await merge_in(in);
     if (keep_low) {
@@ -374,14 +354,8 @@ sim::Task<std::optional<Seg<V>>> halving_reduce_scatter(Communicator& c,
   // Now we hold segs(rank) = {rank} (+ {rank+g_size} if rank < excess).
   if (rank < excess) {
     // Return the folded rank its segment.
-    auto payload = std::make_shared<SegVec>();
-    auto& slot = have[static_cast<std::size_t>(rank + g_size)];
-    payload->push_back({rank + g_size, std::move(*slot)});
-    slot.reset();
-    Message m;
-    m.bytes = ops.bytes(payload->front().second);
-    m.payload = payload;
-    c.post(rank, rank + g_size, 0, std::move(m));
+    c.post(rank, rank + g_size, 0,
+           pack([&](auto&& take) { take(rank + g_size); }));
   }
   co_return Seg<V>{rank, std::move(*have[static_cast<std::size_t>(rank)])};
 }

@@ -1,6 +1,8 @@
 #include "comm/registry.hpp"
 
+#include <bit>
 #include <cmath>
+#include <iterator>
 
 /// \file registry.cpp
 /// Algorithm names and the cost-model auto-tuner.
@@ -15,23 +17,8 @@
 namespace sparker::comm {
 
 const char* to_string(AlgoId id) {
-  switch (id) {
-    case AlgoId::kAuto:
-      return "auto";
-    case AlgoId::kRing:
-      return "ring";
-    case AlgoId::kHalving:
-      return "halving";
-    case AlgoId::kPairwise:
-      return "pairwise";
-    case AlgoId::kRabenseifner:
-      return "rabenseifner";
-    case AlgoId::kDriverFunnel:
-      return "driver_funnel";
-    case AlgoId::kSparseRing:
-      return "sparse_ring";
-  }
-  return "?";
+  const auto i = static_cast<std::size_t>(id);
+  return i < std::size(kAlgoTable) ? kAlgoTable[i].name : "?";
 }
 
 const char* to_string(CollectiveOp op) {
@@ -45,50 +32,53 @@ const char* to_string(CollectiveOp op) {
 }
 
 std::optional<AlgoId> parse_algo(std::string_view name) {
-  for (AlgoId id : {AlgoId::kAuto, AlgoId::kRing, AlgoId::kHalving,
-                    AlgoId::kPairwise, AlgoId::kRabenseifner,
-                    AlgoId::kDriverFunnel, AlgoId::kSparseRing}) {
-    if (name == to_string(id)) return id;
+  for (const AlgoRow& row : kAlgoTable) {
+    if (name == row.name) return row.id;
   }
   return std::nullopt;
 }
 
 std::string algo_names() {
   std::string out;
-  for (AlgoId id : {AlgoId::kAuto, AlgoId::kRing, AlgoId::kHalving,
-                    AlgoId::kPairwise, AlgoId::kRabenseifner,
-                    AlgoId::kDriverFunnel, AlgoId::kSparseRing}) {
+  for (const AlgoRow& row : kAlgoTable) {
     if (!out.empty()) out += "|";
-    out += to_string(id);
+    out += row.name;
   }
   return out;
 }
 
 const std::vector<AlgoId>& registered_algos(CollectiveOp op) {
-  // Must stay in sync with CollectiveRegistry<V>'s constructor: the builtin
-  // implementations are type-agnostic, so one list serves every V.
-  static const std::vector<AlgoId> rs = {AlgoId::kRing, AlgoId::kHalving,
-                                         AlgoId::kPairwise,
-                                         AlgoId::kDriverFunnel,
-                                         AlgoId::kSparseRing};
-  static const std::vector<AlgoId> ar = {AlgoId::kHalving, AlgoId::kPairwise,
-                                         AlgoId::kRabenseifner,
-                                         AlgoId::kDriverFunnel,
-                                         AlgoId::kSparseRing};
+  const auto rows_for = [](CollectiveOp o) {
+    std::vector<AlgoId> ids;
+    for (const AlgoRow& row : kAlgoTable) {
+      if (row.serves(o)) ids.push_back(row.id);
+    }
+    return ids;
+  };
+  static const std::vector<AlgoId> rs = rows_for(CollectiveOp::kReduceScatter);
+  static const std::vector<AlgoId> ar = rows_for(CollectiveOp::kAllreduce);
   return op == CollectiveOp::kReduceScatter ? rs : ar;
 }
 
 AlgoId canonical_algo(CollectiveOp op, AlgoId id) {
-  // The ring family is one algorithm with two names: kRing is its
-  // reduce-scatter phase, kRabenseifner its allreduce composition. Alias
-  // whichever the op actually registers.
-  if (op == CollectiveOp::kAllreduce && id == AlgoId::kRing) {
-    return AlgoId::kRabenseifner;
-  }
-  if (op == CollectiveOp::kReduceScatter && id == AlgoId::kRabenseifner) {
-    return AlgoId::kRing;
+  const AlgoRow& want = algo_row(id);
+  if (want.serves(op)) return id;
+  for (const AlgoRow& row : kAlgoTable) {
+    if (row.serves(op) && row.flow == want.flow &&
+        row.encoding == want.encoding) {
+      return row.id;
+    }
   }
   return id;
+}
+
+AlgoId registered_algo(CollectiveOp op, AlgoId id) {
+  const AlgoId a = canonical_algo(op, id);
+  if (!algo_row(a).serves(op)) {
+    throw std::invalid_argument(std::string(to_string(id)) +
+                                " is not registered for " + to_string(op));
+  }
+  return a;
 }
 
 CollectiveCostInputs cost_inputs(const net::ClusterSpec& spec,
@@ -111,23 +101,10 @@ CollectiveCostInputs cost_inputs(const net::ClusterSpec& spec,
   return in;
 }
 
-namespace {
-
-double log2ceil(int n) {
-  int r = 0;
-  int v = 1;
-  while (v < n) {
-    v <<= 1;
-    ++r;
-  }
-  return static_cast<double>(r);
-}
-
-}  // namespace
-
 double predict_seconds(CollectiveOp op, AlgoId algo,
                        const CollectiveCostInputs& in) {
-  algo = canonical_algo(op, algo);
+  const AlgoRow& row = algo_row(canonical_algo(op, algo));
+  const bool sparse = row.encoding == Encoding::kSparse;
   const double S = static_cast<double>(in.bytes);
   const double n = static_cast<double>(std::max(1, in.n));
   const double P = static_cast<double>(std::max(1, in.parallelism));
@@ -140,7 +117,8 @@ double predict_seconds(CollectiveOp op, AlgoId algo,
   const double jvm = in.jvm ? 1.0 : 0.0;
   const double rph = static_cast<double>(std::max(1, in.ranks_per_host));
   if (in.n <= 1) return 0.0;
-  const double rounds_log = log2ceil(in.n);
+  const double rounds_log =  // ceil(log2(n))
+      static_cast<double>(std::bit_width(static_cast<unsigned>(in.n - 1)));
 
   // Whether any hop can cross hosts at all (single-host runs never touch
   // the NIC — the fabric routes them over the loopback).
@@ -175,46 +153,40 @@ double predict_seconds(CollectiveOp op, AlgoId algo,
   const double cross_frac =
       !multi_host ? 0.0 : (n - rph) / std::max(1.0, n - 1);
 
-  // Sparse-ring per-hop encoded bytes: each encoded entry costs 1.5x its
-  // dense bytes (4-byte index + 8-byte value), capped at the dense size by
-  // the adaptive switch. Fill-in from folding more ranks' contributions is
-  // priced at the stationary estimate, not the worst-case disjoint union:
-  // ML aggregators concentrate updates on hot coordinates, so the union
-  // tracks the per-rank density — and when a workload does fill in past
-  // the 2/3 crossover, the adaptive representation switches the segment
-  // dense mid-ring, so the cost of an optimistic pick is bounded by the
-  // dense ring plus two codec scans.
-  auto sparse_hop_bytes = [&](double dense_s) {
-    return std::min(dense_s, 1.5 * in.density * dense_s);
+  // Per-hop bytes of a segment that is `dense_s` bytes dense. A sparse
+  // row's encoded entry costs 1.5x its dense bytes (4-byte index + 8-byte
+  // value), capped at the dense size by the adaptive switch. Fill-in from
+  // folding more ranks' contributions is priced at the stationary
+  // estimate, not the worst-case disjoint union: ML aggregators concentrate
+  // updates on hot coordinates, so the union tracks the per-rank density —
+  // and when a workload does fill in past the 2/3 crossover, the adaptive
+  // representation switches the segment dense mid-ring, so the cost of an
+  // optimistic pick is bounded by the dense ring plus two codec scans.
+  auto hop_bytes = [&](double dense_s) {
+    return sparse ? std::min(dense_s, 1.5 * in.density * dense_s) : dense_s;
   };
 
-  auto rs_cost = [&](AlgoId a) -> double {
-    switch (a) {
-      case AlgoId::kRing: {
-        const double s = S / (n * P);  // per-channel segment
-        return (n - 1) * (o + ring_round(s) + s * gamma);
-      }
-      case AlgoId::kSparseRing: {
-        // The ring dataflow with index+value encoding: hop costs scale with
-        // the encoded bytes, plus one streaming codec pass each to encode at
-        // the start and decode at the end (gather/scatter scans, priced at
-        // the codec bandwidth the engine charges them at). At density 1.0
-        // this is the ring plus the codec passes — strictly dominated, so
+  auto rs_cost = [&]() -> double {
+    switch (row.flow) {
+      case Dataflow::kRing: {
+        // A sparse row adds one streaming codec pass each to encode at the
+        // start and decode at the end (gather/scatter scans, priced at the
+        // codec bandwidth the engine charges them at). At density 1.0 that
+        // is the dense ring plus the codec passes — strictly dominated, so
         // the tuner only ever picks it on a real (sub-crossover) density
         // estimate.
-        const double s = S / (n * P);
-        const double sk = sparse_hop_bytes(s);
-        return 2.0 * S * gamma_c +  // encode + decode scans
-               (n - 1) * (o + ring_round(sk) + sk * gamma);
+        const double s = hop_bytes(S / (n * P));  // per-channel segment
+        const double codec = sparse ? 2.0 * S * gamma_c : 0.0;
+        return codec + (n - 1) * (o + ring_round(s) + s * gamma);
       }
-      case AlgoId::kPairwise: {
+      case Dataflow::kPairwise: {
         // Hostname-ordered ranks: at exchange distance k most partners are
         // on other hosts, so each host's NIC carries ~rph * cross_frac
         // concurrent streams per round.
         const double s = S / n;
         return (n - 1) * (o + flat_hop(s, rph * cross_frac) + s * gamma);
       }
-      case AlgoId::kHalving: {
+      case Dataflow::kHalving: {
         // log2(n) exchange rounds moving S/2, S/4, ...: partners sit at
         // distance n/2^r, which crosses hosts (every rank on the host at
         // once) until the distance drops below the host width.
@@ -232,52 +204,40 @@ double predict_seconds(CollectiveOp op, AlgoId algo,
         if (!pow2) t += o + flat_hop(S, multi_host ? 1.0 : 0.0) + S * gamma;
         return t;
       }
-      case AlgoId::kDriverFunnel: {
+      case Dataflow::kFunnel: {
         // n-1 whole values converge on rank 0: its recv IO thread (JVM) and
         // its NIC ingress serialize them; merges are also serial there.
         const double nic_in = multi_host ? (n - rph) * S / in.nic_bw : 0.0;
         const double drain = (n - 1) * S * (jvm / bw + gamma) + nic_in;
         return o + drain;
       }
-      default:
-        return 1e30;  // not a reduce-scatter algorithm
+      case Dataflow::kNone:
+        break;
     }
+    return 1e30;  // kAuto: not dispatchable
   };
 
-  auto ar_cost = [&](AlgoId a) -> double {
-    // Allgather of the scattered segments, per composition.
-    switch (a) {
-      case AlgoId::kRabenseifner: {
-        const double s = S / (n * P);
-        return rs_cost(AlgoId::kRing) + (n - 1) * (o + ring_round(s));
-      }
-      case AlgoId::kSparseRing: {
-        // Sparse reduce-scatter, then an allgather of fully reduced
-        // segments, priced at the same stationary density estimate.
-        const double s = S / (n * P);
-        const double sk = sparse_hop_bytes(s);
-        return rs_cost(AlgoId::kSparseRing) + (n - 1) * (o + ring_round(sk));
-      }
-      case AlgoId::kPairwise:
-      case AlgoId::kHalving: {
-        // Both compose with the flat ring allgather: n-1 neighbour hops of
-        // one segment, crossing hosts only at each host boundary.
-        const double s = S / n;
-        const double ag =
-            (n - 1) * (o + flat_hop(s, multi_host ? 1.0 : 0.0));
-        return rs_cost(a) + ag;
-      }
-      case AlgoId::kDriverFunnel: {
-        const double bcast =
-            rounds_log * (o + flat_hop(S, multi_host ? 1.0 : 0.0));
-        return rs_cost(AlgoId::kDriverFunnel) + bcast;
-      }
-      default:
-        return 1e30;
+  // The allgather each dataflow's allreduce adds to its reduce-scatter.
+  auto ag_cost = [&]() -> double {
+    switch (row.flow) {
+      case Dataflow::kRing:
+        return (n - 1) * (o + ring_round(hop_bytes(S / (n * P))));
+      case Dataflow::kPairwise:
+      case Dataflow::kHalving:
+        // The flat ring allgather: n-1 neighbour hops of one segment,
+        // crossing hosts only at each host boundary.
+        return (n - 1) * (o + flat_hop(S / n, multi_host ? 1.0 : 0.0));
+      case Dataflow::kFunnel:
+        // Binomial broadcast of the whole value from rank 0.
+        return rounds_log * (o + flat_hop(S, multi_host ? 1.0 : 0.0));
+      case Dataflow::kNone:
+        break;
     }
+    return 0.0;
   };
 
-  return op == CollectiveOp::kReduceScatter ? rs_cost(algo) : ar_cost(algo);
+  if (op == CollectiveOp::kReduceScatter) return rs_cost();
+  return rs_cost() + ag_cost();
 }
 
 AlgoId pick_algo(CollectiveOp op, const CollectiveCostInputs& in) {
@@ -295,14 +255,8 @@ AlgoId pick_algo(CollectiveOp op, const CollectiveCostInputs& in) {
 
 AlgoId resolve_algo(CollectiveOp op, AlgoId requested,
                     const CollectiveCostInputs& in) {
-  const AlgoId id = requested == AlgoId::kAuto
-                        ? pick_algo(op, in)
-                        : canonical_algo(op, requested);
-  for (AlgoId a : registered_algos(op)) {
-    if (a == id) return id;
-  }
-  throw std::invalid_argument(std::string(to_string(requested)) +
-                              " is not registered for " + to_string(op));
+  return requested == AlgoId::kAuto ? pick_algo(op, in)
+                                    : registered_algo(op, requested);
 }
 
 AlgoId retune_algo(CollectiveOp op, AlgoId configured, AlgoId previous,
@@ -312,10 +266,7 @@ AlgoId retune_algo(CollectiveOp op, AlgoId configured, AlgoId previous,
   }
   const AlgoId prev = canonical_algo(op, previous);
   const AlgoId best = pick_algo(op, in);
-  if (prev == best) return best;
-  bool registered = false;
-  for (AlgoId a : registered_algos(op)) registered |= (a == prev);
-  if (!registered) return best;
+  if (prev == best || !algo_row(prev).serves(op)) return best;
   // Hysteresis: keep the incumbent unless the re-tuned pick is predicted
   // >10% faster on the new ring, so small membership changes don't flap
   // the algorithm (and its warm state) back and forth.

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <exception>
-#include <functional>
-#include <map>
+#include <iterator>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -22,12 +21,13 @@
 ///
 /// The paper's parallel directed ring (Section 4.2) is one point in a family
 /// of reduce-scatter/allreduce algorithms whose crossover depends on
-/// aggregator bytes, executor count and link parameters. The registry maps
-/// (collective op, algorithm name) to an implementation — the dispatch-map
-/// style of HCL's primCollectiveImpl_t — so the engine's split-aggregation
-/// stage loops pick the collective by AlgoId instead of hardcoding the ring,
-/// and every algorithm inherits the stage-level fault-retry/refold/backoff
-/// machinery and health-aware membership for free.
+/// aggregator bytes, executor count and link parameters. One constexpr table
+/// (kAlgoTable) gives each algorithm name its ops, dataflow and encoding;
+/// dispatch, names, aliasing and tuner pricing are derived from it. The
+/// engine's split-aggregation stage loops pick the collective by AlgoId
+/// instead of hardcoding the ring, and every algorithm inherits the
+/// stage-level fault-retry/refold/backoff machinery and health-aware
+/// membership for free.
 ///
 /// The tuner (`pick_algo`) predicts per-algorithm cost from the same
 /// latency/bandwidth/parallelism quantities the fabric simulation prices
@@ -56,11 +56,76 @@ enum class AlgoId {
   kSparseRing = 6,    ///< ring with SparCML-style index+value compression.
 };
 
+/// How a row moves data. Its reduce-scatter is the dataflow itself; its
+/// allreduce adds the allgather that fits the dataflow's segment layout.
+enum class Dataflow {
+  kNone,      ///< kAuto's row: resolved by the tuner, never dispatched.
+  kRing,      ///< P-channel ring; rank i owns P of the P*N segments.
+  kHalving,   ///< recursive halving; rank i owns segment i of N.
+  kPairwise,  ///< pairwise exchange; rank i owns segment i of N.
+  kFunnel,    ///< whole values into rank 0; allreduce broadcasts back.
+};
+
+/// How a row's segments travel. The sparse encoding (SparCML index+value)
+/// lives in the SegOps the engine builds, so it never changes the dataflow.
+enum class Encoding { kDense, kSparse };
+
+constexpr unsigned op_bit(CollectiveOp op) {
+  return 1u << static_cast<unsigned>(op);
+}
+
+/// One row of the collective table.
+struct AlgoRow {
+  AlgoId id;
+  const char* name;
+  unsigned ops;  ///< op_bit() of every op the row is registered for.
+  Dataflow flow;
+  Encoding encoding;
+  constexpr bool serves(CollectiveOp op) const {
+    return (ops & op_bit(op)) != 0;
+  }
+};
+
+inline constexpr unsigned kRsOp = op_bit(CollectiveOp::kReduceScatter);
+inline constexpr unsigned kArOp = op_bit(CollectiveOp::kAllreduce);
+
+/// The collective table, one row per AlgoId in enum order. Dispatch, names,
+/// aliasing (canonical_algo) and tuner pricing all read it. `ring` and
+/// `rabenseifner` are one (ring, dense) dataflow registered under a name
+/// per op.
+inline constexpr AlgoRow kAlgoTable[] = {
+    {AlgoId::kAuto, "auto", 0, Dataflow::kNone, Encoding::kDense},
+    {AlgoId::kRing, "ring", kRsOp, Dataflow::kRing, Encoding::kDense},
+    {AlgoId::kHalving, "halving", kRsOp | kArOp, Dataflow::kHalving,
+     Encoding::kDense},
+    {AlgoId::kPairwise, "pairwise", kRsOp | kArOp, Dataflow::kPairwise,
+     Encoding::kDense},
+    {AlgoId::kRabenseifner, "rabenseifner", kArOp, Dataflow::kRing,
+     Encoding::kDense},
+    {AlgoId::kDriverFunnel, "driver_funnel", kRsOp | kArOp, Dataflow::kFunnel,
+     Encoding::kDense},
+    {AlgoId::kSparseRing, "sparse_ring", kRsOp | kArOp, Dataflow::kRing,
+     Encoding::kSparse},
+};
+static_assert(
+    [] {
+      for (std::size_t i = 0; i < std::size(kAlgoTable); ++i) {
+        if (static_cast<std::size_t>(kAlgoTable[i].id) != i) return false;
+      }
+      return true;
+    }(),
+    "kAlgoTable rows must follow AlgoId order");
+
+constexpr const AlgoRow& algo_row(AlgoId id) {
+  return kAlgoTable[static_cast<std::size_t>(id)];
+}
+
 const char* to_string(AlgoId id);
 const char* to_string(CollectiveOp op);
 
-/// Parses an algorithm name ("auto", "ring", "halving", "pairwise",
-/// "rabenseifner", "driver_funnel"); nullopt on unknown names.
+/// Parses an algorithm name (any kAlgoTable name: "auto", "ring",
+/// "halving", "pairwise", "rabenseifner", "driver_funnel", "sparse_ring");
+/// nullopt on unknown names.
 std::optional<AlgoId> parse_algo(std::string_view name);
 
 /// All algorithm names, for --help text.
@@ -100,23 +165,24 @@ CollectiveCostInputs cost_inputs(const net::ClusterSpec& spec,
 double predict_seconds(CollectiveOp op, AlgoId algo,
                        const CollectiveCostInputs& in);
 
-/// Algorithms registered for `op`, in enum order. Shared by every V
-/// instantiation of CollectiveRegistry (the builtin set is type-agnostic).
+/// The kAlgoTable rows registered for `op`, in enum order.
 const std::vector<AlgoId>& registered_algos(CollectiveOp op);
 
 /// The auto-tuner: argmin of predict_seconds over registered_algos(op).
 /// Deterministic (ties break toward the lower enum value).
 AlgoId pick_algo(CollectiveOp op, const CollectiveCostInputs& in);
 
-/// Maps an AlgoId onto the name actually registered for `op`: the ring
-/// family is registered as kRing for reduce-scatter and as kRabenseifner
-/// (its allreduce composition) for allreduce, so each aliases to the other
-/// where needed. Never returns kAuto for a non-auto input.
+/// Maps an AlgoId onto the row registered for `op` with the same dataflow
+/// and encoding (so kRing and kRabenseifner alias each other across ops);
+/// `id` itself if it is registered for `op` or has no such twin.
 AlgoId canonical_algo(CollectiveOp op, AlgoId id);
 
+/// canonical_algo, but throws std::invalid_argument unless the result is
+/// registered for `op` (kAuto never is).
+AlgoId registered_algo(CollectiveOp op, AlgoId id);
+
 /// Resolves the user-facing setting to a dispatchable id: kAuto goes
-/// through the tuner, everything else through canonical_algo. Throws
-/// std::invalid_argument if the result is not registered for `op`.
+/// through the tuner, everything else through registered_algo.
 AlgoId resolve_algo(CollectiveOp op, AlgoId requested,
                     const CollectiveCostInputs& in);
 
@@ -163,7 +229,6 @@ template <typename V>
 sim::Task<std::optional<V>> funnel_reduce(Communicator& c, int rank, V local,
                                           const SegOps<V>& ops) {
   const int n = c.size();
-  if (n == 1) co_return std::optional<V>(std::move(local));
   if (rank != 0) {
     Message m;
     m.bytes = ops.bytes(local);
@@ -181,27 +246,19 @@ sim::Task<std::optional<V>> funnel_reduce(Communicator& c, int rank, V local,
 
 }  // namespace detail
 
-/// The per-segment-type dispatch map. One immutable instance per V holds
-/// the builtin algorithms; lookups go by canonical AlgoId. Every dispatch
-/// wraps the implementation in a "collective" trace span carrying the
-/// integer `algo` attribute (plus failed=0/1 on close), which is what
+/// Dispatch over kAlgoTable for one segment type. A reduce-scatter runs the
+/// row's dataflow; an allreduce runs that reduce-scatter, the allgather
+/// that fits its segment layout, then one sort + concat — except the
+/// funnel, whose whole value on rank 0 is broadcast back instead. Every
+/// dispatch wraps the implementation in a "collective" trace span carrying
+/// the integer `algo` attribute (plus failed=0/1 on close), which is what
 /// trace_lint and the obs tests key on.
 template <typename V>
 class CollectiveRegistry {
  public:
-  using ReduceScatterFn = std::function<sim::Task<std::vector<Seg<V>>>(
-      Communicator&, int, const SegOps<V>&)>;
-  using AllreduceFn =
-      std::function<sim::Task<V>(Communicator&, int, const SegOps<V>&)>;
-
   static const CollectiveRegistry& instance() {
     static const CollectiveRegistry reg;
     return reg;
-  }
-
-  bool has(CollectiveOp op, AlgoId id) const {
-    return op == CollectiveOp::kReduceScatter ? rs_.count(id) > 0
-                                              : ar_.count(id) > 0;
   }
 
   /// Dispatches a reduce-scatter. `algo` must be a concrete registered id
@@ -210,155 +267,105 @@ class CollectiveRegistry {
   sim::Task<std::vector<Seg<V>>> reduce_scatter(AlgoId algo, Communicator& c,
                                                 int rank,
                                                 const SegOps<V>& ops) const {
-    const AlgoId id = canonical_algo(CollectiveOp::kReduceScatter, algo);
-    auto it = rs_.find(id);
-    if (it == rs_.end()) {
-      throw std::invalid_argument(std::string("no reduce-scatter algorithm ") +
-                                  to_string(algo));
-    }
-    obs::TraceSink* tr = c.fabric().trace();
-    const obs::SpanId span =
-        tr ? tr->begin("collective", "collective.reduce_scatter",
-                       obs::exec_pid(c.node_of(rank)), rank,
-                       {{"algo", static_cast<std::int64_t>(id)},
-                        {"rank", rank}})
-           : obs::kNoSpan;
-    std::exception_ptr err;
-    std::vector<Seg<V>> out;
-    try {
-      out = co_await it->second(c, rank, ops);
-    } catch (...) {
-      err = std::current_exception();
-    }
-    if (tr) tr->end(span, {{"failed", err ? 1 : 0}});
-    if (err) std::rethrow_exception(err);
-    co_return out;
+    const AlgoId id = registered_algo(CollectiveOp::kReduceScatter, algo);
+    co_return co_await traced(c, rank, "collective.reduce_scatter", id,
+                              scatter(algo_row(id).flow, c, rank, ops));
   }
 
   /// Dispatches an allreduce; same contract as reduce_scatter.
   sim::Task<V> allreduce(AlgoId algo, Communicator& c, int rank,
                          const SegOps<V>& ops) const {
-    const AlgoId id = canonical_algo(CollectiveOp::kAllreduce, algo);
-    auto it = ar_.find(id);
-    if (it == ar_.end()) {
-      throw std::invalid_argument(std::string("no allreduce algorithm ") +
-                                  to_string(algo));
-    }
-    obs::TraceSink* tr = c.fabric().trace();
-    const obs::SpanId span =
-        tr ? tr->begin("collective", "collective.allreduce",
-                       obs::exec_pid(c.node_of(rank)), rank,
-                       {{"algo", static_cast<std::int64_t>(id)},
-                        {"rank", rank}})
-           : obs::kNoSpan;
-    std::exception_ptr err;
-    std::optional<V> out;
-    try {
-      out.emplace(co_await it->second(c, rank, ops));
-    } catch (...) {
-      err = std::current_exception();
-    }
-    if (tr) tr->end(span, {{"failed", err ? 1 : 0}});
-    if (err) std::rethrow_exception(err);
-    co_return std::move(*out);
+    const AlgoId id = registered_algo(CollectiveOp::kAllreduce, algo);
+    co_return co_await traced(c, rank, "collective.allreduce", id,
+                              reduce_all(algo_row(id).flow, c, rank, ops));
   }
 
  private:
-  // The builtin set. Must stay in sync with registered_algos() in
-  // registry.cpp, which the tuner consults without knowing V.
-  CollectiveRegistry() {
-    rs_[AlgoId::kRing] = [](Communicator& c, int rank, const SegOps<V>& ops) {
-      return ring_reduce_scatter<V>(c, rank, ops);
-    };
-    rs_[AlgoId::kHalving] =
-        [](Communicator& c, int rank,
-           const SegOps<V>& ops) -> sim::Task<std::vector<Seg<V>>> {
-      std::optional<Seg<V>> seg =
-          co_await halving_reduce_scatter<V>(c, rank, ops);
-      std::vector<Seg<V>> out;
-      if (seg) out.push_back(std::move(*seg));
+  /// Runs `body` inside the dispatch's "collective" span and rethrows its
+  /// failure after closing the span.
+  template <typename T>
+  static sim::Task<T> traced(Communicator& c, int rank, const char* name,
+                             AlgoId id, sim::Task<T> body) {
+    obs::TraceSink* tr = c.fabric().trace();
+    const obs::SpanId span =
+        tr ? tr->begin("collective", name, obs::exec_pid(c.node_of(rank)),
+                       rank,
+                       {{"algo", static_cast<std::int64_t>(id)},
+                        {"rank", rank}})
+           : obs::kNoSpan;
+    try {
+      T out = co_await std::move(body);
+      if (tr) tr->end(span, {{"failed", 0}});
       co_return out;
-    };
-    rs_[AlgoId::kPairwise] =
-        [](Communicator& c, int rank,
-           const SegOps<V>& ops) -> sim::Task<std::vector<Seg<V>>> {
-      Seg<V> seg = co_await pairwise_reduce_scatter<V>(c, rank, ops);
-      std::vector<Seg<V>> out;
-      out.push_back(std::move(seg));
-      co_return out;
-    };
-    rs_[AlgoId::kDriverFunnel] =
-        [](Communicator& c, int rank,
-           const SegOps<V>& ops) -> sim::Task<std::vector<Seg<V>>> {
-      std::optional<V> whole =
-          co_await detail::funnel_reduce<V>(c, rank, ops.split(0, 1), ops);
-      std::vector<Seg<V>> out;
-      if (whole) out.push_back({0, std::move(*whole)});
-      co_return out;
-    };
-    // The sparse ring reuses the ring dataflow verbatim: compression lives
-    // in the SegOps the engine builds for it (density-optimal encode on
-    // split, representation-adaptive merge), so the distinct id exists for
-    // trace attribution (algo=6) and density-aware tuner pricing.
-    rs_[AlgoId::kSparseRing] = rs_[AlgoId::kRing];
+    } catch (...) {
+      if (tr) tr->end(span, {{"failed", 1}});
+      throw;
+    }
+  }
 
-    ar_[AlgoId::kRabenseifner] = [](Communicator& c, int rank,
-                                    const SegOps<V>& ops) {
-      return rabenseifner_allreduce<V>(c, rank, ops);
-    };
-    ar_[AlgoId::kHalving] = [](Communicator& c, int rank,
-                               const SegOps<V>& ops) -> sim::Task<V> {
-      if (!ops.concat) {
-        throw std::invalid_argument("allreduce requires concatOp");
+  static sim::Task<std::vector<Seg<V>>> scatter(Dataflow flow,
+                                                Communicator& c, int rank,
+                                                const SegOps<V>& ops) {
+    std::vector<Seg<V>> out;
+    switch (flow) {
+      case Dataflow::kRing:
+        out = co_await ring_reduce_scatter<V>(c, rank, ops);
+        break;
+      case Dataflow::kHalving: {
+        std::optional<Seg<V>> seg =
+            co_await halving_reduce_scatter<V>(c, rank, ops);
+        if (seg) out.push_back(std::move(*seg));
+        break;
       }
-      std::optional<Seg<V>> seg =
-          co_await halving_reduce_scatter<V>(c, rank, ops);
-      auto all =
-          co_await detail::flat_ring_allgather<V>(c, rank, ops,
-                                                  std::move(*seg));
-      std::sort(all.begin(), all.end(), [](const Seg<V>& a, const Seg<V>& b) {
-        return a.first < b.first;
-      });
-      co_return ops.concat(all);
-    };
-    ar_[AlgoId::kPairwise] = [](Communicator& c, int rank,
-                                const SegOps<V>& ops) -> sim::Task<V> {
-      if (!ops.concat) {
-        throw std::invalid_argument("allreduce requires concatOp");
+      case Dataflow::kPairwise:
+        out.push_back(co_await pairwise_reduce_scatter<V>(c, rank, ops));
+        break;
+      case Dataflow::kFunnel: {
+        std::optional<V> whole =
+            co_await detail::funnel_reduce<V>(c, rank, ops.split(0, 1), ops);
+        if (whole) out.push_back({0, std::move(*whole)});
+        break;
       }
-      Seg<V> seg = co_await pairwise_reduce_scatter<V>(c, rank, ops);
-      auto all =
-          co_await detail::flat_ring_allgather<V>(c, rank, ops,
-                                                  std::move(seg));
-      std::sort(all.begin(), all.end(), [](const Seg<V>& a, const Seg<V>& b) {
-        return a.first < b.first;
-      });
-      co_return ops.concat(all);
-    };
-    ar_[AlgoId::kDriverFunnel] = [](Communicator& c, int rank,
-                                    const SegOps<V>& ops) -> sim::Task<V> {
-      std::optional<V> whole =
-          co_await detail::funnel_reduce<V>(c, rank, ops.split(0, 1), ops);
+      case Dataflow::kNone:
+        break;
+    }
+    co_return out;
+  }
+
+  static sim::Task<V> reduce_all(Dataflow flow, Communicator& c, int rank,
+                                 const SegOps<V>& ops) {
+    const bool funnel = flow == Dataflow::kFunnel;
+    if (!funnel && !ops.concat) {
+      throw std::invalid_argument("allreduce requires concatOp");
+    }
+    std::vector<Seg<V>> owned = co_await scatter(flow, c, rank, ops);
+    if (funnel) {
+      // Rank 0 alone holds the whole value: broadcast it, no concat. Relay
+      // hops are priced with the local whole-value size (identical across
+      // ranks for the engine's fixed-shape aggregators).
       std::shared_ptr<V> value;
       std::uint64_t bytes = 0;
-      if (whole) {
-        bytes = ops.bytes(*whole);
-        value = std::make_shared<V>(std::move(*whole));
-      } else {
-        // Relay hops are priced with the local whole-value size (identical
-        // across ranks for the engine's fixed-shape aggregators).
+      if (owned.empty()) {
         bytes = ops.bytes(ops.split(0, 1));
+      } else {
+        bytes = ops.bytes(owned.front().second);
+        value = std::make_shared<V>(std::move(owned.front().second));
       }
       co_return co_await binomial_broadcast<V>(c, rank, 0, std::move(value),
                                                bytes);
-    };
-    // Same reuse on the allreduce side: sparse ring = the Rabenseifner
-    // composition with compression supplied through the SegOps.
-    ar_[AlgoId::kSparseRing] = ar_[AlgoId::kRabenseifner];
+    }
+    std::vector<Seg<V>> all;
+    if (flow == Dataflow::kRing) {
+      all = co_await ring_allgather<V>(c, rank, ops, std::move(owned));
+    } else {
+      all = co_await detail::flat_ring_allgather<V>(c, rank, ops,
+                                                    std::move(owned.front()));
+    }
+    std::sort(all.begin(), all.end(), [](const Seg<V>& a, const Seg<V>& b) {
+      return a.first < b.first;
+    });
+    co_return ops.concat(all);
   }
-
-  std::map<AlgoId, ReduceScatterFn> rs_;
-  std::map<AlgoId, AllreduceFn> ar_;
 };
 
 }  // namespace sparker::comm

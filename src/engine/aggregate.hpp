@@ -73,16 +73,16 @@ struct SplitAggSpec {
 
   // Optional compression hooks (src/comp): all three absent = the dense
   // path, byte-for-byte as before. With them, the tuner prices the
-  // compressed ring (comm::AlgoId::kSparseRing) against the dense
-  // algorithms, and when the sparse ring is dispatched the stage re-encodes
-  // each freshly split segment density-optimally. The sparse path runs
-  // inside the same stage loops, so it inherits fault retry, membership
-  // boundaries and residual refold unchanged.
+  // compressed ring (the `sparse_ring` row of comm::kAlgoTable) against
+  // the dense algorithms, and when a sparse row is dispatched the stage
+  // re-encodes each freshly split segment density-optimally. The sparse path
+  // runs inside the same stage loops, so it inherits fault retry,
+  // membership boundaries and residual refold unchanged.
   /// Estimated nonzero fraction of an aggregator (the tuner's density
-  /// input). Absent: density 1.0, which keeps kSparseRing dominated.
+  /// input). Absent: density 1.0, which keeps the sparse ring dominated.
   std::function<double(const U&)> density_op;
   /// Re-encodes a split segment into its cheapest representation. Absent:
-  /// segments ship exactly as split_op produced them, even on kSparseRing.
+  /// segments ship exactly as split_op produced them, even on sparse_ring.
   std::function<V(V)> encode_op;
   /// Representation probe, for comp.switch trace attribution.
   std::function<bool(const V&)> is_sparse_op;
@@ -1215,8 +1215,8 @@ sim::Task<void> ring_rank(Cluster& cl, int job,
 /// Each ring attempt crosses the stage boundary (ring_boundary), resolves
 /// the algorithm (kAuto depends on the live rank count, so it is resolved
 /// after the membership snapshot, once, and every rank of the collective
-/// runs the same one), decides once whether segments travel encoded (the
-/// sparse ring with an encode_op), and runs one ring_rank per rank, each
+/// runs the same one), decides once whether segments travel encoded (a
+/// sparse row with an encode_op), and runs one ring_rank per rank, each
 /// ending in `body(st, ctx)` over a fresh `Attempt st`. A successful
 /// attempt ends in `epilogue(st, encoded, per_exec)`, which yields the
 /// job's result. A CollectiveFailed attempt retires the communicator,
@@ -1286,8 +1286,9 @@ sim::Task<V> run_ring_stage(JobFrame& f, CachedRdd<T>& rdd,
           cl.collective_cost_inputs(aggregator_bytes(spec, per_exec), ring.n,
                                     aggregator_density(spec, per_exec)));
       prev_algo = algo;
-      const bool encoded = algo == comm::AlgoId::kSparseRing &&
-                           static_cast<bool>(spec.encode_op);
+      const bool encoded =
+          comm::algo_row(algo).encoding == comm::Encoding::kSparse &&
+          static_cast<bool>(spec.encode_op);
       cl.metrics().add(std::string("agg.collective.") + comm::to_string(algo),
                        1);
       Attempt st{};

@@ -20,8 +20,8 @@ Cluster::Cluster(sim::Simulator& sim, net::ClusterSpec spec, EngineConfig cfg)
     : sim_(&sim), spec_(std::move(spec)), cfg_(cfg), driver_loop_(sim) {
   trace_ = std::make_unique<obs::TraceSink>(sim, cfg_.trace.enabled);
   fabric_ = std::make_unique<net::Fabric>(sim, spec_.fabric, spec_.num_nodes);
-  if (cfg_.trace.enabled && cfg_.trace.net) fabric_->set_trace(trace_.get());
-  if (cfg_.trace.enabled && cfg_.trace.sim_counters) {
+  if (cfg_.trace.enabled) {
+    fabric_->set_trace(trace_.get());
     // One probe per simulator; a second traced cluster on the same sim
     // would displace the first (and the destructor only clears its own).
     sim_probe_ = std::make_unique<obs::SimQueueProbe>(*trace_);

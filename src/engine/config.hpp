@@ -176,13 +176,11 @@ struct HealthConfig {
 
 /// Observability knobs. Tracing is recording-only — it never schedules sim
 /// events or charges simulated time, so enabling it cannot change results
-/// — but it does allocate per event, hence off by default.
+/// — but it does allocate per event, hence off by default. An enabled trace
+/// records every category, per-message network transmits and sim-kernel
+/// queue-depth counters included.
 struct TraceConfig {
   bool enabled = false;
-  /// Also trace per-message network transmits (the chattiest category).
-  bool net = true;
-  /// Also sample sim-kernel queue-depth counters via the step probe.
-  bool sim_counters = true;
 };
 
 /// Per-executor compute slowdown multipliers (straggler model); executors

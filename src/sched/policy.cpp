@@ -5,25 +5,6 @@
 
 namespace sparker::sched {
 
-const char* to_string(PolicyId id) {
-  switch (id) {
-    case PolicyId::kFifo:
-      return "fifo";
-    case PolicyId::kRoundRobin:
-      return "round_robin";
-    case PolicyId::kFairShare:
-      return "fair_share";
-  }
-  return "?";
-}
-
-PolicyId parse_policy(const std::string& name) {
-  for (PolicyId id : PolicyRegistry::instance().registered()) {
-    if (name == to_string(id)) return id;
-  }
-  throw std::invalid_argument("unknown scheduling policy: " + name);
-}
-
 namespace {
 
 /// Strict submission order.
@@ -101,49 +82,69 @@ struct FairShare final : SchedulerPolicy {
   }
 };
 
+template <typename P>
+std::unique_ptr<SchedulerPolicy> make_policy() {
+  return std::make_unique<P>();
+}
+
+struct PolicyRow {
+  PolicyId id;
+  const char* name;
+  std::unique_ptr<SchedulerPolicy> (*make)();
+};
+
+/// The policy table, one row per PolicyId in ascending order.
+constexpr PolicyRow kPolicies[] = {
+    {PolicyId::kFifo, "fifo", make_policy<Fifo>},
+    {PolicyId::kRoundRobin, "round_robin", make_policy<RoundRobin>},
+    {PolicyId::kFairShare, "fair_share", make_policy<FairShare>},
+};
+
+const PolicyRow* find_row(PolicyId id) {
+  for (const PolicyRow& row : kPolicies) {
+    if (row.id == id) return &row;
+  }
+  return nullptr;
+}
+
 }  // namespace
+
+const char* to_string(PolicyId id) {
+  const PolicyRow* row = find_row(id);
+  return row ? row->name : "?";
+}
+
+PolicyId parse_policy(const std::string& name) {
+  for (const PolicyRow& row : kPolicies) {
+    if (name == row.name) return row.id;
+  }
+  throw std::invalid_argument("unknown scheduling policy: " + name);
+}
 
 double usage_decay_factor(double age_seconds, double half_life_seconds) {
   if (half_life_seconds <= 0.0 || age_seconds <= 0.0) return 1.0;
   return std::exp2(-age_seconds / half_life_seconds);
 }
 
-PolicyRegistry& PolicyRegistry::instance() {
-  static PolicyRegistry reg = [] {
-    PolicyRegistry r;
-    r.register_policy(PolicyId::kFifo, "fifo",
-                      [] { return std::make_unique<Fifo>(); });
-    r.register_policy(PolicyId::kRoundRobin, "round_robin",
-                      [] { return std::make_unique<RoundRobin>(); });
-    r.register_policy(PolicyId::kFairShare, "fair_share",
-                      [] { return std::make_unique<FairShare>(); });
-    return r;
-  }();
+const PolicyRegistry& PolicyRegistry::instance() {
+  static const PolicyRegistry reg;
   return reg;
 }
 
-void PolicyRegistry::register_policy(PolicyId id, const char* name,
-                                     Factory factory) {
-  entries_[id] = Entry{name, std::move(factory)};
-}
-
 std::unique_ptr<SchedulerPolicy> PolicyRegistry::make(PolicyId id) const {
-  auto it = entries_.find(id);
-  if (it == entries_.end()) {
+  const PolicyRow* row = find_row(id);
+  if (!row) {
     throw std::invalid_argument("policy not registered: " +
                                 std::string(to_string(id)));
   }
-  return it->second.factory();
+  return row->make();
 }
 
-const char* PolicyRegistry::name(PolicyId id) const {
-  auto it = entries_.find(id);
-  return it == entries_.end() ? "?" : it->second.name;
-}
+const char* PolicyRegistry::name(PolicyId id) const { return to_string(id); }
 
 std::vector<PolicyId> PolicyRegistry::registered() const {
   std::vector<PolicyId> out;
-  for (const auto& [id, e] : entries_) out.push_back(id);
+  for (const PolicyRow& row : kPolicies) out.push_back(row.id);
   return out;
 }
 

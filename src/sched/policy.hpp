@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -11,9 +10,9 @@
 
 /// \file policy.hpp
 /// Scheduling policies for the multi-tenant job scheduler, behind a
-/// registry mirroring comm::CollectiveRegistry: policy id -> factory, so
-/// benches can sweep every registered policy and new policies plug in
-/// without touching the scheduler core.
+/// table-driven registry like comm::CollectiveRegistry's: policy id ->
+/// factory, so benches can sweep every registered policy and new policies
+/// plug in with one table row, without touching the scheduler core.
 ///
 /// A policy answers one question — given the queued jobs and the resource
 /// usage of the jobs currently running, which queued job dispatches next?
@@ -73,28 +72,19 @@ class SchedulerPolicy {
                            const std::map<int, TenantUsage>& usage) = 0;
 };
 
-/// Policy registry: id -> (name, factory). Factories produce fresh policy
-/// instances so two schedulers never share mutable policy state (the
-/// round-robin cursor, for example).
+/// Policy registry over one static table of {id, name, factory} in
+/// policy.cpp. Factories produce fresh policy instances so two schedulers
+/// never share mutable policy state (the round-robin cursor, for example).
 class PolicyRegistry {
  public:
-  using Factory = std::function<std::unique_ptr<SchedulerPolicy>()>;
+  static const PolicyRegistry& instance();
 
-  static PolicyRegistry& instance();
-
-  void register_policy(PolicyId id, const char* name, Factory factory);
   std::unique_ptr<SchedulerPolicy> make(PolicyId id) const;
+  /// Same as to_string(id).
   const char* name(PolicyId id) const;
 
   /// All registered ids, ascending — the sweep order benches use.
   std::vector<PolicyId> registered() const;
-
- private:
-  struct Entry {
-    const char* name;
-    Factory factory;
-  };
-  std::map<PolicyId, Entry> entries_;
 };
 
 }  // namespace sparker::sched

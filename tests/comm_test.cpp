@@ -6,10 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <limits>
+#include <map>
 #include <memory>
 #include <numeric>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -392,7 +397,8 @@ TEST_P(AllreduceCorrectness, EveryRankGetsFullSum) {
   auto body = [&](int rank) -> Task<void> {
     auto ops = vec_ops(locals[static_cast<std::size_t>(rank)], len);
     got[static_cast<std::size_t>(rank)] =
-        co_await rabenseifner_allreduce(*w.c, rank, ops);
+        co_await CollectiveRegistry<Vec>::instance().allreduce(
+            AlgoId::kRabenseifner, *w.c, rank, ops);
   };
   w.sim->run_task(run_all_ranks(*w.c, body));
   for (int r = 0; r < n; ++r) {
@@ -522,8 +528,8 @@ TEST(Topology, SingleHostHasNoCrossings) {
 
 // Runs the registry's reduce-scatter under `algo` and reassembles the
 // scattered segments into one vector (whatever segment layout the
-// algorithm produces).
-Vec registry_rs(AlgoId algo, int n, int p, int len) {
+// algorithm produces). `end` receives the final simulated time.
+Vec registry_rs(AlgoId algo, int n, int p, int len, Time& end) {
   World w(n, p);
   std::vector<Vec> locals;
   for (int r = 0; r < n; ++r) locals.push_back(make_value(r, len));
@@ -535,6 +541,7 @@ Vec registry_rs(AlgoId algo, int n, int p, int len) {
             algo, *w.c, rank, ops);
   };
   w.sim->run_task(run_all_ranks(*w.c, body));
+  end = w.sim->now();
   // Segment counts differ per algorithm (P*N for ring, N for halving /
   // pairwise, 1 for the funnel); infer from what came back.
   int nseg = 0;
@@ -557,8 +564,9 @@ Vec registry_rs(AlgoId algo, int n, int p, int len) {
 }
 
 // Runs the registry's allreduce under `algo`; every rank must return the
-// identical full vector, which the test hands back.
-Vec registry_ar(AlgoId algo, int n, int p, int len) {
+// identical full vector, which the test hands back. `end` receives the
+// final simulated time.
+Vec registry_ar(AlgoId algo, int n, int p, int len, Time& end) {
   World w(n, p);
   std::vector<Vec> locals;
   for (int r = 0; r < n; ++r) locals.push_back(make_value(r, len));
@@ -570,6 +578,7 @@ Vec registry_ar(AlgoId algo, int n, int p, int len) {
                                                                rank, ops);
   };
   w.sim->run_task(run_all_ranks(*w.c, body));
+  end = w.sim->now();
   for (int r = 1; r < n; ++r) {
     EXPECT_EQ(got[static_cast<std::size_t>(r)], got[0]) << "rank " << r;
   }
@@ -579,15 +588,53 @@ Vec registry_ar(AlgoId algo, int n, int p, int len) {
 class RegistryBitIdentity
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
+// Final simulated time (ns) of every registered (op, algorithm) run per
+// shape: reduce-scatter then allreduce, each in registered_algos order.
+// Pinned from the implementation that dispatched through per-algorithm
+// function maps, so a drift means the table-derived dispatch moved a
+// schedule. No bench runs the non-ring allreduces, so this is their only
+// timing check.
+const std::map<std::tuple<int, int, int>, std::vector<Time>> kPinnedEndNs = {
+    {{3, 2, 240},
+     {145350, 149400, 146160, 76860, 145350, 295560, 292320, 290700, 153720,
+      290700}},
+    {{7, 4, 240},
+     {432894, 294490, 434790, 83340, 432894, 729488, 869622, 865788, 235440,
+      865788}},
+    {{13, 1, 240},
+     {867072, 366976, 867016, 93060, 867072, 1234078, 1734074, 1734144,
+      320400, 1734144}},
+    {{6, 4, 1},
+     {360060, 216030, 360024, 72036, 360060, 576048, 720084, 720120, 216066,
+      720120}},
+    {{9, 8, 5},
+     {576096, 288099, 576072, 72297, 576096, 864171, 1152168, 1152192,
+      288528, 1152192}},
+    {{17, 3, 16},
+     {1152192, 360416, 1152192, 73836, 1152192, 1512608, 2304384, 2304384,
+      362808, 2304384}},
+    {{5, 8, 3},
+     {288048, 216058, 288036, 72100, 288048, 504106, 576084, 576096, 216200,
+      576096}},
+    {{1, 4, 16}, {0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {{2, 1, 1},
+     {72012, 72012, 72012, 72012, 72012, 144024, 144024, 144024, 144024,
+      144024}},
+};
+
 TEST_P(RegistryBitIdentity, AllAlgorithmsMatchSequentialReference) {
   const auto [n, p, len] = GetParam();
   const Vec want = expected_sum(n, len);
+  std::vector<Time> ends;
   for (AlgoId a : registered_algos(CollectiveOp::kReduceScatter)) {
-    EXPECT_EQ(registry_rs(a, n, p, len), want) << "rs " << to_string(a);
+    EXPECT_EQ(registry_rs(a, n, p, len, ends.emplace_back()), want)
+        << "rs " << to_string(a);
   }
   for (AlgoId a : registered_algos(CollectiveOp::kAllreduce)) {
-    EXPECT_EQ(registry_ar(a, n, p, len), want) << "ar " << to_string(a);
+    EXPECT_EQ(registry_ar(a, n, p, len, ends.emplace_back()), want)
+        << "ar " << to_string(a);
   }
+  EXPECT_EQ(ends, kPinnedEndNs.at(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -613,12 +660,21 @@ TEST(Registry, UnregisteredAlgoThrows) {
 }
 
 TEST(Registry, NamesRoundTrip) {
-  for (AlgoId id : {AlgoId::kAuto, AlgoId::kRing, AlgoId::kHalving,
-                    AlgoId::kPairwise, AlgoId::kRabenseifner,
-                    AlgoId::kDriverFunnel}) {
-    const auto parsed = parse_algo(to_string(id));
-    ASSERT_TRUE(parsed.has_value()) << to_string(id);
-    EXPECT_EQ(*parsed, id);
+  // Every table row parses back to its id, and algo_names() lists each
+  // name exactly once.
+  const std::string names = "|" + algo_names() + "|";
+  EXPECT_EQ(std::count(names.begin(), names.end(), '|'),
+            static_cast<std::ptrdiff_t>(std::size(kAlgoTable) + 1))
+      << names;
+  for (const AlgoRow& row : kAlgoTable) {
+    EXPECT_STREQ(to_string(row.id), row.name);
+    const auto parsed = parse_algo(row.name);
+    ASSERT_TRUE(parsed.has_value()) << row.name;
+    EXPECT_EQ(*parsed, row.id);
+    const std::string entry = std::string("|") + row.name + "|";
+    const auto at = names.find(entry);
+    EXPECT_NE(at, std::string::npos) << row.name;
+    EXPECT_EQ(names.find(entry, at + 1), std::string::npos) << row.name;
   }
   EXPECT_FALSE(parse_algo("quux").has_value());
   EXPECT_FALSE(parse_algo("").has_value());

@@ -21,6 +21,7 @@
 
 #include "comm/collectives.hpp"
 #include "comm/communicator.hpp"
+#include "comm/registry.hpp"
 #include "engine/aggregate.hpp"
 #include "engine/cluster.hpp"
 #include "engine/config.hpp"
@@ -112,7 +113,7 @@ enum class Coll { kRingRS, kAllreduce, kBinomial, kHalving, kPairwise };
 const char* coll_name(Coll c) {
   switch (c) {
     case Coll::kRingRS: return "ring_reduce_scatter";
-    case Coll::kAllreduce: return "rabenseifner_allreduce";
+    case Coll::kAllreduce: return "allreduce(rabenseifner)";
     case Coll::kBinomial: return "binomial_reduce";
     case Coll::kHalving: return "halving_reduce_scatter";
     case Coll::kPairwise: return "pairwise_reduce_scatter";
@@ -149,7 +150,8 @@ Outcome run_collective(Coll coll, int n, int p, int len,
         break;
       case Coll::kAllreduce:
         whole_results[static_cast<std::size_t>(rank)] =
-            co_await comm::rabenseifner_allreduce(*w.c, rank, ops);
+            co_await comm::CollectiveRegistry<Vec>::instance().allreduce(
+                comm::AlgoId::kRabenseifner, *w.c, rank, ops);
         break;
       case Coll::kBinomial:
         whole_results[static_cast<std::size_t>(rank)] =

@@ -114,7 +114,8 @@ TEST(CollectiveTuner, AutoNeverBeatenByRingOnAggregationGrid) {
 TEST(CollectiveTuner, PredictionsFollowKnownCrossovers) {
   // Sanity on the cost model itself (no simulation): tiny messages favor
   // the driver funnel, large messages with parallel channels favor the
-  // ring, and predictions are positive and monotone in message size.
+  // ring, predictions are positive and monotone in message size, and the
+  // sparse ring is priced by its density estimate.
   const net::ClusterSpec spec = net::ClusterSpec::bic();
   const auto in = [&](std::uint64_t bytes, int n, int par) {
     return comm::cost_inputs(spec, spec.sc_link, bytes, n, par);
@@ -135,6 +136,27 @@ TEST(CollectiveTuner, PredictionsFollowKnownCrossovers) {
       EXPECT_GE(s, prev) << comm::to_string(a) << " bytes=" << bytes;
       prev = s;
     }
+  }
+  for (CollectiveOp op :
+       {CollectiveOp::kReduceScatter, CollectiveOp::kAllreduce}) {
+    for (std::uint64_t bytes = 1 << 10; bytes <= 256ull << 20; bytes <<= 4) {
+      const auto p = [&](AlgoId a) {
+        return comm::predict_seconds(op, a, in(bytes, 24, 4));
+      };
+      // `ring` and `rabenseifner` name one (ring, dense) row pair.
+      EXPECT_EQ(p(AlgoId::kRing), p(AlgoId::kRabenseifner))
+          << comm::to_string(op) << " bytes=" << bytes;
+      // Without a density estimate (1.0) the sparse ring is the ring plus
+      // two codec scans, so the tuner never picks compression blind.
+      EXPECT_GT(p(AlgoId::kSparseRing), p(AlgoId::kRing))
+          << comm::to_string(op) << " bytes=" << bytes;
+    }
+    // At 1% density a 2 GB aggregator ships far fewer bytes per hop.
+    auto sparse = in(2ull << 30, 8, 4);
+    sparse.density = 0.01;
+    EXPECT_LT(comm::predict_seconds(op, AlgoId::kSparseRing, sparse),
+              comm::predict_seconds(op, AlgoId::kRing, sparse))
+        << comm::to_string(op);
   }
 }
 
