@@ -11,19 +11,17 @@
 // any fold order gives the same bits.
 //
 // Pass --churn N to set the maximum churn-event count of the throughput
-// sweep (default 8). --trace-out <path> (or SPARKER_TRACE_OUT) dumps the
-// full-churn campaign's Chrome trace.
+// sweep (default 8). --trace-out <path> dumps the full-churn campaign's
+// Chrome trace.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_util/cli.hpp"
 #include "bench_util/json.hpp"
 #include "bench_util/sim_speed.hpp"
 #include "bench_util/table.hpp"
-#include "bench_util/trace_opt.hpp"
 #include "comm/registry.hpp"
 #include "engine/aggregate.hpp"
 #include "engine/cluster.hpp"
@@ -156,18 +154,14 @@ Campaign run_campaign(const engine::MembershipSchedule& membership,
   return out;
 }
 
-int churn_option(int argc, char** argv, int fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--churn") == 0) return std::atoi(argv[i + 1]);
-  }
-  return fallback;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string trace_out = bench::trace_out_option(argc, argv);
-  const int max_churn = std::max(0, churn_option(argc, argv, 8));
+  std::string trace_out;
+  int max_churn = 8;
+  bench::Cli({{"--trace-out", bench::text(&trace_out), "path"},
+              {"--churn", bench::integer(&max_churn, 0), "N"}})
+      .parse(argc, argv);
   bench::print_banner(
       "Ablation: membership churn",
       "Back-to-back split aggregations (BIC 2 nodes, 12 executors) while "

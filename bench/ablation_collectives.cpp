@@ -11,10 +11,10 @@
 // the match rate — the same validation tests/tuner_test.cpp enforces.
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_util/cli.hpp"
 #include "bench_util/runners.hpp"
 #include "bench_util/json.hpp"
 #include "bench_util/sim_speed.hpp"
@@ -68,9 +68,7 @@ double tree_reduce_seconds(const net::ClusterSpec& spec, int executors,
 
 int main(int argc, char** argv) {
   bool tuner = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--tuner") == 0) tuner = true;
-  }
+  bench::Cli({{"--tuner", bench::flag(&tuner)}}).parse(argc, argv);
   bench::print_banner("Ablation: reduction collectives",
                       tuner ? "tuner picks vs measured best (BIC, SC links, "
                               "24 executors); milliseconds"

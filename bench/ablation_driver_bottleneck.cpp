@@ -7,6 +7,7 @@
 
 #include <cstdio>
 
+#include "bench_util/cli.hpp"
 #include "bench_util/json.hpp"
 #include "bench_util/sim_speed.hpp"
 #include "bench_util/table.hpp"
@@ -54,7 +55,8 @@ Outcome run(const net::ClusterSpec& spec, engine::AggMode mode,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::Cli({}).parse(argc, argv);
   bench::print_banner("Ablation: driver bottleneck",
                       "SVM-K12 on AWS: Spark vs Sparker vs "
                       "Sparker+allreduce (10 iterations); seconds");

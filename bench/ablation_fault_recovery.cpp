@@ -13,18 +13,17 @@
 // Every run records a structured trace; the "recovery (s)" column is
 // derived from it (obs::recovery_from_trace) and must equal the engine's
 // AggMetrics::recovery_time to the nanosecond or the bench aborts. Pass
-// --trace-out <path> (or set SPARKER_TRACE_OUT) to dump the mid-ring-kill
-// run's Chrome trace.
+// --trace-out <path> to dump the mid-ring-kill run's Chrome trace.
 
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_util/cli.hpp"
 #include "bench_util/json.hpp"
 #include "bench_util/sim_speed.hpp"
 #include "bench_util/table.hpp"
-#include "bench_util/trace_opt.hpp"
 #include "engine/aggregate.hpp"
 #include "engine/cluster.hpp"
 #include "engine/config.hpp"
@@ -151,7 +150,9 @@ Run run_with(const engine::FaultSchedule& schedule,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string trace_out = bench::trace_out_option(argc, argv);
+  std::string trace_out;
+  bench::Cli({{"--trace-out", bench::text(&trace_out), "path"}})
+      .parse(argc, argv);
   bench::print_banner(
       "Ablation: fault recovery",
       "Split aggregation (BIC 4 nodes, ~4 MiB modeled aggregator) under "

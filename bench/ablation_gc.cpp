@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <string>
 
+#include "bench_util/cli.hpp"
 #include "bench_util/runners.hpp"
 #include "bench_util/json.hpp"
 #include "bench_util/sim_speed.hpp"
@@ -14,7 +15,8 @@
 
 using namespace sparker;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::Cli({}).parse(argc, argv);
   bench::print_banner("Ablation: JVM GC pauses",
                       "SC p=4 throughput and ring reduce-scatter with the "
                       "GC model on/off (BIC)");

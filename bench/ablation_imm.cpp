@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <string>
 
+#include "bench_util/cli.hpp"
 #include "bench_util/json.hpp"
 #include "bench_util/sim_speed.hpp"
 #include "bench_util/table.hpp"
@@ -60,7 +61,8 @@ double run(int tasks_per_executor, engine::AggMode mode,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::Cli({}).parse(argc, argv);
   bench::print_banner("Ablation: In-Memory Merge",
                       "Tree vs Tree+IMM vs tasks-per-executor (BIC 4 "
                       "nodes, 64 MB aggregators); seconds");

@@ -14,23 +14,21 @@
 // run of the same campaign on an idle cluster.
 //
 // Pass --floor X to fail (exit 1) if any policy's top-load throughput drops
-// below X jobs/s — the CI regression gate. --trace-out <path> (or
-// SPARKER_TRACE_OUT) dumps the top-load fair-share run's Chrome trace.
+// below X jobs/s — the CI regression gate. --trace-out <path> dumps the
+// top-load fair-share run's Chrome trace.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench_util/cli.hpp"
 #include "bench_util/json.hpp"
 #include "bench_util/sim_speed.hpp"
 #include "bench_util/table.hpp"
-#include "bench_util/trace_opt.hpp"
 #include "engine/aggregate.hpp"
 #include "engine/cluster.hpp"
 #include "engine/config.hpp"
@@ -321,18 +319,14 @@ LoadRun run_load(const JobClass& mouse, const JobClass& elephant,
   return out;
 }
 
-double floor_option(int argc, char** argv, double fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--floor") == 0) return std::atof(argv[i + 1]);
-  }
-  return fallback;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string trace_out = bench::trace_out_option(argc, argv);
-  const double floor = floor_option(argc, argv, 0.0);
+  std::string trace_out;
+  double floor = 0;
+  bench::Cli({{"--trace-out", bench::text(&trace_out), "path"},
+              {"--floor", bench::number(&floor, 0), "jobs/s"}})
+      .parse(argc, argv);
   bench::print_banner(
       "Ablation: multi-tenant scheduling",
       "Elephant burst at t=0 plus an open-loop mice stream at rising load, "

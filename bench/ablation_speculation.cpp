@@ -17,17 +17,17 @@
 // from it (counting "spec.launch"/"spec.win" instants) and the recovery
 // column from obs::recovery_from_trace; both must equal the engine's ad-hoc
 // AggMetrics accounting exactly or the bench aborts. Pass --trace-out <path>
-// (or set SPARKER_TRACE_OUT) to dump the heartbeat-detection run's trace.
+// to dump the heartbeat-detection run's trace.
 
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_util/cli.hpp"
 #include "bench_util/json.hpp"
 #include "bench_util/sim_speed.hpp"
 #include "bench_util/table.hpp"
-#include "bench_util/trace_opt.hpp"
 #include "engine/aggregate.hpp"
 #include "engine/cluster.hpp"
 #include "engine/config.hpp"
@@ -162,7 +162,9 @@ engine::HealthConfig speculation_on() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string trace_out = bench::trace_out_option(argc, argv);
+  std::string trace_out;
+  bench::Cli({{"--trace-out", bench::text(&trace_out), "path"}})
+      .parse(argc, argv);
   bench::print_banner(
       "Ablation: health-aware scheduling",
       "Split aggregation (BIC 4 nodes, ~4 MiB modeled aggregator) under "

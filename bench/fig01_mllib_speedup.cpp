@@ -7,14 +7,16 @@
 #include <cmath>
 #include <cstdio>
 
+#include "bench_util/cli.hpp"
 #include "bench_util/runners.hpp"
 #include "bench_util/json.hpp"
 #include "bench_util/sim_speed.hpp"
 #include "bench_util/table.hpp"
 #include "ml/workload.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace sparker;
+  bench::Cli({}).parse(argc, argv);
   bench::print_banner("Figure 1",
                       "MLlib 8-node speedup over 1-node (BIC, vanilla "
                       "Spark tree aggregation)");

@@ -7,18 +7,18 @@
 // The per-phase numbers are derived from the run's structured trace
 // (obs::phase_breakdown over the "phase" spans) and cross-checked against
 // the engine's ad-hoc TimeBreakdown accounting: the two must agree within
-// 1% or the bench aborts. Pass --trace-out <path> (or set
-// SPARKER_TRACE_OUT) to also dump the first workload's Chrome trace.
+// 1% or the bench aborts. Pass --trace-out <path> to also dump the first
+// workload's Chrome trace.
 
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
+#include "bench_util/cli.hpp"
 #include "bench_util/json.hpp"
 #include "bench_util/sim_speed.hpp"
 #include "bench_util/runners.hpp"
 #include "bench_util/table.hpp"
-#include "bench_util/trace_opt.hpp"
 #include "ml/workload.hpp"
 
 namespace {
@@ -34,7 +34,9 @@ double rel_err(double trace, double adhoc) {
 
 int main(int argc, char** argv) {
   using namespace sparker;
-  const std::string trace_out = bench::trace_out_option(argc, argv);
+  std::string trace_out;
+  bench::Cli({{"--trace-out", bench::text(&trace_out), "path"}})
+      .parse(argc, argv);
   bench::print_banner("Figure 2",
                       "End-to-end time decomposition per workload (BIC 8 "
                       "nodes, vanilla Spark)");

@@ -6,14 +6,16 @@
 
 #include <cstdio>
 
+#include "bench_util/cli.hpp"
 #include "bench_util/runners.hpp"
 #include "bench_util/json.hpp"
 #include "bench_util/sim_speed.hpp"
 #include "bench_util/table.hpp"
 #include "ml/workload.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace sparker;
+  bench::Cli({}).parse(argc, argv);
   bench::print_banner("Figure 3",
                       "LDA-N strong scaling decomposition (BIC, vanilla "
                       "Spark, 40 iterations); seconds");

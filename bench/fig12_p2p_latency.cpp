@@ -4,13 +4,15 @@
 
 #include <cstdio>
 
+#include "bench_util/cli.hpp"
 #include "bench_util/runners.hpp"
 #include "bench_util/json.hpp"
 #include "bench_util/sim_speed.hpp"
 #include "bench_util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace sparker;
+  bench::Cli({}).parse(argc, argv);
   bench::print_banner(
       "Figure 12",
       "P2P latency: BlockManager vs scalable communicator vs MPI (BIC)");

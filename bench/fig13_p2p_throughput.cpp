@@ -8,13 +8,15 @@
 #include <string>
 #include <vector>
 
+#include "bench_util/cli.hpp"
 #include "bench_util/runners.hpp"
 #include "bench_util/json.hpp"
 #include "bench_util/sim_speed.hpp"
 #include "bench_util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace sparker;
+  bench::Cli({}).parse(argc, argv);
   bench::print_banner("Figure 13",
                       "P2P throughput vs message size; SC parallelism 1/2/4 "
                       "vs MPI (BIC); MB/s");

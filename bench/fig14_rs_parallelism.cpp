@@ -6,7 +6,7 @@
 
 #include <cstdio>
 
-#include "bench_util/algo_opt.hpp"
+#include "bench_util/cli.hpp"
 #include "bench_util/runners.hpp"
 #include "bench_util/json.hpp"
 #include "bench_util/sim_speed.hpp"
@@ -14,7 +14,8 @@
 
 int main(int argc, char** argv) {
   using namespace sparker;
-  const comm::AlgoId algo = bench::algo_option(argc, argv);
+  comm::AlgoId algo = comm::AlgoId::kRing;
+  bench::Cli({{"--algo", bench::algo(&algo), "name"}}).parse(argc, argv);
   bench::print_banner("Figure 14",
                       "Reduce-scatter vs parallelism, 48 executors, 256 MB "
                       "(BIC); seconds");

@@ -8,7 +8,7 @@
 #include <cstdio>
 #include <string>
 
-#include "bench_util/algo_opt.hpp"
+#include "bench_util/cli.hpp"
 #include "bench_util/runners.hpp"
 #include "bench_util/json.hpp"
 #include "bench_util/sim_speed.hpp"
@@ -18,7 +18,11 @@ int main(int argc, char** argv) {
   using namespace sparker;
   // --algo overrides the SC columns' algorithm; the MPI reference keeps
   // MPICH's own size-based choices (halving short, pairwise long).
-  const comm::AlgoId sc_algo = bench::algo_option(argc, argv);
+  comm::AlgoId sc_algo = comm::AlgoId::kRing;
+  bool extended = false;
+  bench::Cli({{"--algo", bench::algo(&sc_algo), "name"},
+              {"--extended", bench::flag(&extended)}})
+      .parse(argc, argv);
   bench::print_banner("Figure 15",
                       "Reduce-scatter scalability, 6..48 executors (BIC)");
   std::printf("SC collective algorithm: %s\n", comm::to_string(sc_algo));
@@ -69,10 +73,6 @@ int main(int argc, char** argv) {
   // to 10k+ executors. The ring is O(n) rounds, so the large points use
   // recursive halving (what the tuner picks at this scale) and the batched
   // NIC pacing mode — per-chunk events would dominate the kernel otherwise.
-  bool extended = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--extended") extended = true;
-  }
   if (extended) {
     std::printf("\nExtended sweep: 128..10240 executors, halving, "
                 "batched pacing\n");

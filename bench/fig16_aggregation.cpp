@@ -11,7 +11,7 @@
 #include <cstdio>
 #include <string>
 
-#include "bench_util/algo_opt.hpp"
+#include "bench_util/cli.hpp"
 #include "bench_util/runners.hpp"
 #include "bench_util/json.hpp"
 #include "bench_util/sim_speed.hpp"
@@ -20,7 +20,8 @@
 int main(int argc, char** argv) {
   using namespace sparker;
   // --algo selects the Split mode's collective (tree modes don't use one).
-  const comm::AlgoId algo = bench::algo_option(argc, argv);
+  comm::AlgoId algo = comm::AlgoId::kRing;
+  bench::Cli({{"--algo", bench::algo(&algo), "name"}}).parse(argc, argv);
   bench::print_banner("Figure 16",
                       "Aggregation scalability: Tree vs Tree+IMM vs Split "
                       "(BIC, 1..8 nodes); seconds");

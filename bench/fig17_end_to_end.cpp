@@ -8,14 +8,16 @@
 #include <cmath>
 #include <cstdio>
 
+#include "bench_util/cli.hpp"
 #include "bench_util/runners.hpp"
 #include "bench_util/json.hpp"
 #include "bench_util/sim_speed.hpp"
 #include "bench_util/table.hpp"
 #include "ml/workload.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace sparker;
+  bench::Cli({}).parse(argc, argv);
   bench::print_banner("Figure 17",
                       "End-to-end Sparker speedup over Spark, 9 workloads, "
                       "BIC and AWS (10 iterations each)");

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <string>
 
+#include "bench_util/cli.hpp"
 #include "bench_util/runners.hpp"
 #include "bench_util/json.hpp"
 #include "bench_util/sim_speed.hpp"
@@ -16,6 +17,8 @@
 
 int main(int argc, char** argv) {
   using namespace sparker;
+  bool extended = false;
+  bench::Cli({{"--extended", bench::flag(&extended)}}).parse(argc, argv);
   bench::print_banner("Figure 18",
                       "LDA-N Spark vs Sparker decomposition (AWS, 15 "
                       "iterations); seconds");
@@ -52,10 +55,6 @@ int main(int argc, char** argv) {
   // --extended: past the paper's 960 cores, a lighter aggregation-focused
   // sweep (3 iterations) to 10k+ cores with batched NIC pacing, tracking
   // whether the scalable reduction's advantage keeps growing.
-  bool extended = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--extended") extended = true;
-  }
   if (extended) {
     std::printf("\nExtended sweep: 1024..10240 cores, 3 iterations, "
                 "batched pacing\n");

@@ -20,11 +20,11 @@
 #include <string>
 #include <vector>
 
+#include "bench_util/cli.hpp"
 #include "bench_util/json.hpp"
 #include "bench_util/runners.hpp"
 #include "bench_util/sim_speed.hpp"
 #include "bench_util/table.hpp"
-#include "bench_util/trace_opt.hpp"
 #include "comm/registry.hpp"
 #include "obs/export.hpp"
 #include "comp/sparse.hpp"
@@ -165,7 +165,9 @@ RunResult run_point(const net::ClusterSpec& spec, std::uint64_t message_bytes,
 
 int main(int argc, char** argv) {
   using namespace sparker;
-  const std::string trace_out = bench::trace_out_option(argc, argv);
+  std::string trace_out;
+  bench::Cli({{"--trace-out", bench::text(&trace_out), "path"}})
+      .parse(argc, argv);
   bench::print_banner("Figure 19",
                       "Sparse ring: dense vs compressed reduce time across "
                       "density x aggregator size x nodes; seconds");

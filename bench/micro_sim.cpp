@@ -1,10 +1,9 @@
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_util/cli.hpp"
 #include "bench_util/json.hpp"
 #include "bench_util/sim_speed.hpp"
 #include "bench_util/table.hpp"
@@ -246,11 +245,8 @@ int main(int argc, char** argv) {
   // --floor N: exit nonzero unless every queue shape clears N events (or
   // ops) per second — a coarse CI regression tripwire, set generously.
   double floor_ops = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--floor") == 0 && i + 1 < argc) {
-      floor_ops = std::atof(argv[++i]);
-    }
-  }
+  bench::Cli({{"--floor", bench::number(&floor_ops, 0), "ops/s"}})
+      .parse(argc, argv);
 
   std::vector<ShapeResult> results;
   results.push_back(timer_grid());

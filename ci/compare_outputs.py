@@ -5,8 +5,10 @@ Usage: ci/compare_outputs.py <build-a> <build-b>
 
 Runs every fig*/ablation_* bench and the quickstart, logistic_regression,
 lda_topics and reduce_scatter_playground examples from both build trees,
-each run in its own scratch directory. Benches whose source parses
---trace-out (bench_util/trace_opt.hpp) run with `--trace-out trace.json`.
+each run in its own scratch directory. Binaries whose source declares
+--trace-out to the command-line parser (a `{"--trace-out", ...}` entry in
+its bench::Cli table, see bench_util/cli.hpp) run with
+`--trace-out trace.json`.
 For every run it compares the exit status, stdout, stderr and every file the
 run left behind: BENCH_*.json reports with the host-speed fields
 (events_per_sec, sim_wall_s, wall_per_sim_sec) removed, everything else
@@ -22,6 +24,7 @@ import concurrent.futures
 import difflib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -31,6 +34,8 @@ EXAMPLES = ["quickstart", "logistic_regression", "lda_topics",
             "reduce_scatter_playground"]
 SPEED_FIELDS = {"events_per_sec", "sim_wall_s", "wall_per_sim_sec"}
 TRACE_FILE = "trace.json"
+# The bench::Cli declaration of the flag in a binary's source.
+TRACE_DECL = re.compile(r'\{\s*"--trace-out",')
 TIMEOUT_S = 1800
 
 
@@ -51,18 +56,16 @@ def takes_trace_out(kind, name):
     src = os.path.join(REPO, kind, name + ".cpp")
     try:
         with open(src, encoding="utf-8") as f:
-            return "trace_out_option" in f.read()
+            return TRACE_DECL.search(f.read()) is not None
     except OSError:
         return False
 
 
 def run(build, prog, trace, workdir):
-    env = dict(os.environ)
-    env.pop("SPARKER_TRACE_OUT", None)  # the flag alone decides tracing.
     cmd = [os.path.join(os.path.abspath(build), prog)]
     if trace:
         cmd += ["--trace-out", TRACE_FILE]
-    p = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True,
+    p = subprocess.run(cmd, cwd=workdir, capture_output=True,
                        timeout=TIMEOUT_S)
     files = {}
     for root, _, names in os.walk(workdir):

@@ -5,313 +5,90 @@
 //   bench_gate --check <blessed.json> <actual.json> [--tol 0.01]
 //
 // --bless canonicalises a bench report for committing: machine-speed keys
-// (sim_runs, sim_wall_s, events_per_sec, ...) are stripped at every depth
-// so the blessed file only holds the *simulated* results, which are
+// (bench::kSimSpeedKeys: sim_runs, sim_wall_s, ...) are stripped at every
+// depth so the blessed file only holds the *simulated* results, which are
 // deterministic for a given code state. --check strips the same keys from
 // the fresh report and compares it structurally against the blessed one:
 // numeric leaves must agree within the relative tolerance (default 1%),
 // strings and shapes exactly. Every drifting leaf is printed with its
 // path; any drift exits 1. CI blesses once per intentional change (the
-// files live in ci/blessed/) and checks on every push, so an accidental
-// perf or phase-accounting regression in fig02 or the churn ablation
-// fails the build instead of silently shifting the numbers.
+// files live in ci/blessed/) and checks each of them on every push, so an
+// accidental drift in a gated report fails the build instead of silently
+// shifting the numbers. Reports are read with the shared strict reader
+// (obs/json.hpp); an unparsable file or a bad --tol exits non-zero.
 
-#include <cctype>
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <memory>
+#include <iterator>
+#include <optional>
 #include <sstream>
 #include <string>
-#include <utility>
-#include <vector>
+
+#include "bench_util/cli.hpp"
+#include "bench_util/json.hpp"
+#include "obs/json.hpp"
 
 namespace {
 
-// ---- tiny JSON DOM ---------------------------------------------------------
-// Only what the bench reports need: objects keep insertion order, numbers
-// stay doubles (every number the benches emit round-trips through one).
+namespace json = sparker::obs::json;
+using Value = json::Value;
 
-struct Value;
-using ValuePtr = std::unique_ptr<Value>;
-
-struct Value {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool b = false;
-  double num = 0;
-  std::string str;
-  std::vector<ValuePtr> items;
-  std::vector<std::pair<std::string, ValuePtr>> fields;
-};
-
-class Parser {
- public:
-  explicit Parser(const std::string& text) : s_(text) {}
-
-  ValuePtr parse() {
-    ValuePtr v = value();
-    skip_ws();
-    if (pos_ != s_.size()) fail("trailing content");
-    return v;
-  }
-
-  const std::string& error() const { return error_; }
-  bool ok() const { return error_.empty(); }
-
- private:
-  ValuePtr value() {
-    skip_ws();
-    if (pos_ >= s_.size()) return fail("unexpected end of input");
-    const char c = s_[pos_];
-    if (c == '{') return object();
-    if (c == '[') return array();
-    if (c == '"') return string_value();
-    if (c == 't' || c == 'f') return boolean();
-    if (c == 'n') return null_value();
-    return number();
-  }
-
-  ValuePtr object() {
-    auto v = std::make_unique<Value>();
-    v->kind = Value::Kind::kObject;
-    ++pos_;  // '{'
-    skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      skip_ws();
-      if (pos_ >= s_.size() || s_[pos_] != '"') return fail("expected key");
-      std::string key;
-      if (!string_raw(&key)) return nullptr;
-      skip_ws();
-      if (pos_ >= s_.size() || s_[pos_] != ':') return fail("expected ':'");
-      ++pos_;
-      ValuePtr item = value();
-      if (!item) return nullptr;
-      v->fields.emplace_back(std::move(key), std::move(item));
-      skip_ws();
-      if (pos_ < s_.size() && s_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (pos_ < s_.size() && s_[pos_] == '}') {
-        ++pos_;
-        return v;
-      }
-      return fail("expected ',' or '}'");
-    }
-  }
-
-  ValuePtr array() {
-    auto v = std::make_unique<Value>();
-    v->kind = Value::Kind::kArray;
-    ++pos_;  // '['
-    skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      ValuePtr item = value();
-      if (!item) return nullptr;
-      v->items.push_back(std::move(item));
-      skip_ws();
-      if (pos_ < s_.size() && s_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (pos_ < s_.size() && s_[pos_] == ']') {
-        ++pos_;
-        return v;
-      }
-      return fail("expected ',' or ']'");
-    }
-  }
-
-  ValuePtr string_value() {
-    auto v = std::make_unique<Value>();
-    v->kind = Value::Kind::kString;
-    if (!string_raw(&v->str)) return nullptr;
-    return v;
-  }
-
-  bool string_raw(std::string* out) {
-    ++pos_;  // '"'
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= s_.size()) break;
-        const char e = s_[pos_++];
-        switch (e) {
-          case '"': out->push_back('"'); break;
-          case '\\': out->push_back('\\'); break;
-          case '/': out->push_back('/'); break;
-          case 'n': out->push_back('\n'); break;
-          case 't': out->push_back('\t'); break;
-          case 'r': out->push_back('\r'); break;
-          case 'b': out->push_back('\b'); break;
-          case 'f': out->push_back('\f'); break;
-          case 'u':
-            // Bench reports are ASCII; keep the escape verbatim.
-            out->append("\\u");
-            for (int i = 0; i < 4 && pos_ < s_.size(); ++i) {
-              out->push_back(s_[pos_++]);
-            }
-            break;
-          default:
-            fail("bad escape");
-            return false;
-        }
-      } else {
-        out->push_back(c);
-      }
-    }
-    fail("unterminated string");
-    return false;
-  }
-
-  ValuePtr boolean() {
-    auto v = std::make_unique<Value>();
-    v->kind = Value::Kind::kBool;
-    if (s_.compare(pos_, 4, "true") == 0) {
-      v->b = true;
-      pos_ += 4;
-      return v;
-    }
-    if (s_.compare(pos_, 5, "false") == 0) {
-      v->b = false;
-      pos_ += 5;
-      return v;
-    }
-    return fail("bad literal");
-  }
-
-  ValuePtr null_value() {
-    if (s_.compare(pos_, 4, "null") != 0) return fail("bad literal");
-    pos_ += 4;
-    return std::make_unique<Value>();
-  }
-
-  ValuePtr number() {
-    const std::size_t start = pos_;
-    if (pos_ < s_.size() && (s_[pos_] == '-' || s_[pos_] == '+')) ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-            s_[pos_] == '-' || s_[pos_] == '+')) {
-      ++pos_;
-    }
-    if (pos_ == start) return fail("expected value");
-    auto v = std::make_unique<Value>();
-    v->kind = Value::Kind::kNumber;
-    v->num = std::strtod(s_.c_str() + start, nullptr);
-    return v;
-  }
-
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  ValuePtr fail(const char* what) {
-    if (error_.empty()) {
-      error_ = std::string(what) + " at byte " + std::to_string(pos_);
-    }
-    return nullptr;
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-  std::string error_;
-};
-
-// Keys that vary with host machine speed, not with simulated behaviour.
 bool volatile_key(const std::string& key) {
-  static const char* kVolatile[] = {"sim_runs",       "sim_events",
-                                    "sim_wall_s",     "sim_virtual_s",
-                                    "events_per_sec", "wall_per_sim_sec"};
-  for (const char* k : kVolatile) {
-    if (key == k) return true;
-  }
-  return false;
+  const auto& keys = sparker::bench::kSimSpeedKeys;
+  return std::find(std::begin(keys), std::end(keys), key) != std::end(keys);
 }
 
 void strip_volatile(Value& v) {
-  if (v.kind == Value::Kind::kObject) {
-    std::erase_if(v.fields,
-                  [](const auto& f) { return volatile_key(f.first); });
-    for (auto& [key, item] : v.fields) strip_volatile(*item);
-  } else if (v.kind == Value::Kind::kArray) {
-    for (auto& item : v.items) strip_volatile(*item);
-  }
+  std::erase_if(v.fields, [](const auto& f) { return volatile_key(f.first); });
+  for (auto& [key, item] : v.fields) strip_volatile(item);
+  for (auto& item : v.items) strip_volatile(item);
 }
 
-void write_json(const Value& v, std::ostream& out, int indent) {
+void write_json(const Value& v, std::string& out, int indent) {
   const std::string pad(static_cast<std::size_t>(indent) * 2, ' ');
   const std::string pad_in(static_cast<std::size_t>(indent + 1) * 2, ' ');
   switch (v.kind) {
     case Value::Kind::kNull:
-      out << "null";
+      out += "null";
       break;
     case Value::Kind::kBool:
-      out << (v.b ? "true" : "false");
+      out += v.b ? "true" : "false";
       break;
     case Value::Kind::kNumber: {
       char buf[40];
       std::snprintf(buf, sizeof buf, "%.10g", v.num);
-      out << buf;
+      out += buf;
       break;
     }
-    case Value::Kind::kString: {
-      out << '"';
-      for (char c : v.str) {
-        if (c == '"' || c == '\\') out << '\\';
-        out << c;
-      }
-      out << '"';
+    case Value::Kind::kString:
+      json::append_quoted(out, v.str);
       break;
-    }
     case Value::Kind::kArray:
-      if (v.items.empty()) {
-        out << "[]";
-        break;
+    case Value::Kind::kObject: {
+      const bool object = v.kind == Value::Kind::kObject;
+      const std::size_t n = object ? v.fields.size() : v.items.size();
+      out += object ? '{' : '[';
+      for (std::size_t i = 0; i < n; ++i) {
+        out += (i == 0 ? "\n" : ",\n") + pad_in;
+        if (object) {
+          json::append_quoted(out, v.fields[i].first);
+          out += ": ";
+        }
+        write_json(object ? v.fields[i].second : v.items[i], out, indent + 1);
       }
-      out << "[\n";
-      for (std::size_t i = 0; i < v.items.size(); ++i) {
-        out << pad_in;
-        write_json(*v.items[i], out, indent + 1);
-        out << (i + 1 < v.items.size() ? ",\n" : "\n");
-      }
-      out << pad << ']';
+      if (n > 0) out += "\n" + pad;
+      out += object ? '}' : ']';
       break;
-    case Value::Kind::kObject:
-      if (v.fields.empty()) {
-        out << "{}";
-        break;
-      }
-      out << "{\n";
-      for (std::size_t i = 0; i < v.fields.size(); ++i) {
-        out << pad_in << '"' << v.fields[i].first << "\": ";
-        write_json(*v.fields[i].second, out, indent + 1);
-        out << (i + 1 < v.fields.size() ? ",\n" : "\n");
-      }
-      out << pad << '}';
-      break;
+    }
   }
 }
 
 // ---- comparison ------------------------------------------------------------
 
 struct CheckState {
-  double tol = 0.01;
+  double tol = 0;
   int drifts = 0;
 };
 
@@ -322,15 +99,9 @@ void drift(CheckState& st, const std::string& path, const std::string& msg) {
 }
 
 const char* kind_name(Value::Kind k) {
-  switch (k) {
-    case Value::Kind::kNull: return "null";
-    case Value::Kind::kBool: return "bool";
-    case Value::Kind::kNumber: return "number";
-    case Value::Kind::kString: return "string";
-    case Value::Kind::kArray: return "array";
-    case Value::Kind::kObject: return "object";
-  }
-  return "?";
+  static constexpr const char* kNames[] = {"null",   "bool",  "number",
+                                           "string", "array", "object"};
+  return kNames[static_cast<int>(k)];
 }
 
 void compare(CheckState& st, const std::string& path, const Value& blessed,
@@ -373,110 +144,93 @@ void compare(CheckState& st, const std::string& path, const Value& blessed,
         return;
       }
       for (std::size_t i = 0; i < blessed.items.size(); ++i) {
-        compare(st, path + "[" + std::to_string(i) + "]", *blessed.items[i],
-                *actual.items[i]);
+        compare(st, path + "[" + std::to_string(i) + "]", blessed.items[i],
+                actual.items[i]);
       }
       break;
     }
-    case Value::Kind::kObject: {
+    case Value::Kind::kObject:
       for (const auto& [key, item] : blessed.fields) {
-        const Value* other = nullptr;
-        for (const auto& [akey, aitem] : actual.fields) {
-          if (akey == key) {
-            other = aitem.get();
-            break;
-          }
-        }
         const std::string sub = path.empty() ? key : path + "." + key;
-        if (!other) {
+        if (const Value* other = actual.find(key)) {
+          compare(st, sub, item, *other);
+        } else {
           drift(st, sub, "key disappeared");
-          continue;
         }
-        compare(st, sub, *item, *other);
       }
-      for (const auto& [akey, aitem] : actual.fields) {
-        bool known = false;
-        for (const auto& [key, item] : blessed.fields) {
-          if (key == akey) {
-            known = true;
-            break;
-          }
-        }
-        if (!known) {
-          drift(st, path.empty() ? akey : path + "." + akey,
+      for (const auto& [key, item] : actual.fields) {
+        if (!blessed.find(key)) {
+          drift(st, path.empty() ? key : path + "." + key,
                 "new key (re-bless to accept)");
         }
       }
       break;
-    }
   }
 }
 
-ValuePtr load(const char* file) {
+std::optional<Value> load(const std::string& file) {
   std::ifstream in(file, std::ios::binary);
   if (!in) {
-    std::fprintf(stderr, "%s: cannot open\n", file);
-    return nullptr;
+    std::fprintf(stderr, "%s: cannot open\n", file.c_str());
+    return std::nullopt;
   }
   std::ostringstream buf;
   buf << in.rdbuf();
-  const std::string text = buf.str();
-  Parser p(text);
-  ValuePtr v = p.parse();
+  std::string error;
+  std::optional<Value> v = json::parse(buf.str(), error);
   if (!v) {
-    std::fprintf(stderr, "%s: parse error: %s\n", file, p.error().c_str());
-    return nullptr;
+    std::fprintf(stderr, "%s: parse error: %s\n", file.c_str(), error.c_str());
   }
   return v;
-}
-
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s --bless <in.json> <out.json>\n"
-               "       %s --check <blessed.json> <actual.json> [--tol 0.01]\n",
-               argv0, argv0);
-  return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 4) return usage(argv[0]);
-  if (std::strcmp(argv[1], "--bless") == 0) {
-    ValuePtr v = load(argv[2]);
+  bool bless = false, check = false;
+  std::string first, second;
+  double tol = 0.01;
+  namespace bench = sparker::bench;
+  bench::Cli cli({{"--bless", bench::flag(&bless)},
+                  {"--check", bench::flag(&check)},
+                  {"--tol", bench::number(&tol, 0), "fraction"},
+                  {"in.json|blessed.json", bench::text(&first)},
+                  {"out.json|actual.json", bench::text(&second)}});
+  cli.parse(argc, argv);
+  if (bless == check || second.empty()) {
+    cli.fail("needs --bless <in.json> <out.json> or --check <blessed.json> "
+             "<actual.json>");
+  }
+  if (bless) {
+    std::optional<Value> v = load(first);
     if (!v) return 1;
     strip_volatile(*v);
-    std::ofstream out(argv[3], std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "%s: cannot write\n", argv[3]);
+    std::string text;
+    write_json(*v, text, 0);
+    text += '\n';
+    std::ofstream out(second, std::ios::binary);
+    if (!(out << text)) {
+      std::fprintf(stderr, "%s: cannot write\n", second.c_str());
       return 1;
     }
-    write_json(*v, out, 0);
-    out << '\n';
-    std::printf("blessed %s -> %s\n", argv[2], argv[3]);
+    std::printf("blessed %s -> %s\n", first.c_str(), second.c_str());
     return 0;
   }
-  if (std::strcmp(argv[1], "--check") == 0) {
-    CheckState st;
-    if (argc >= 6 && std::strcmp(argv[4], "--tol") == 0) {
-      st.tol = std::strtod(argv[5], nullptr);
-    }
-    ValuePtr blessed = load(argv[2]);
-    ValuePtr actual = load(argv[3]);
-    if (!blessed || !actual) return 1;
-    strip_volatile(*blessed);  // tolerate blessing an unstripped file
-    strip_volatile(*actual);
-    compare(st, "", *blessed, *actual);
-    if (st.drifts) {
-      std::fprintf(stderr,
-                   "%s: FAIL: %d leaf value(s) drifted more than %.2f%% from "
-                   "%s (re-bless if intentional)\n",
-                   argv[3], st.drifts, 100.0 * st.tol, argv[2]);
-      return 1;
-    }
-    std::printf("%s: ok (matches %s within %.2f%%)\n", argv[3], argv[2],
-                100.0 * st.tol);
-    return 0;
+  CheckState st{.tol = tol};
+  std::optional<Value> blessed = load(first);
+  std::optional<Value> actual = load(second);
+  if (!blessed || !actual) return 1;
+  strip_volatile(*blessed);  // tolerate blessing an unstripped file
+  strip_volatile(*actual);
+  compare(st, "", *blessed, *actual);
+  if (st.drifts) {
+    std::fprintf(stderr,
+                 "%s: FAIL: %d leaf value(s) drifted more than %.2f%% from "
+                 "%s (re-bless if intentional)\n",
+                 second.c_str(), st.drifts, 100.0 * st.tol, first.c_str());
+    return 1;
   }
-  return usage(argv[0]);
+  std::printf("%s: ok (matches %s within %.2f%%)\n", second.c_str(),
+              first.c_str(), 100.0 * st.tol);
+  return 0;
 }

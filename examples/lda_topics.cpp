@@ -6,8 +6,8 @@
 // Usage:   ./build/examples/lda_topics [iterations] [topics]
 //              [--trace-out trace.json]
 //
-// With --trace-out (or SPARKER_TRACE_OUT set), the Sparker run records a
-// structured trace written as Chrome trace_event JSON (Perfetto-loadable).
+// With --trace-out, the Sparker run records a structured trace written as
+// Chrome trace_event JSON (Perfetto-loadable).
 
 #include <algorithm>
 #include <cstdio>
@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "bench_util/trace_opt.hpp"
+#include "bench_util/cli.hpp"
 #include "data/generators.hpp"
 #include "data/presets.hpp"
 #include "engine/cluster.hpp"
@@ -28,9 +28,12 @@
 using namespace sparker;
 
 int main(int argc, char** argv) {
-  const std::string trace_out = bench::trace_out_option(argc, argv);
-  const int iterations = argc > 1 ? std::atoi(argv[1]) : 15;
-  const int topics = argc > 2 ? std::atoi(argv[2]) : 8;
+  std::string trace_out;
+  int iterations = 15, topics = 8;
+  bench::Cli({{"iterations", bench::integer(&iterations, 1)},
+              {"topics", bench::integer(&topics, 1)},
+              {"--trace-out", bench::text(&trace_out), "path"}})
+      .parse(argc, argv);
 
   data::DatasetPreset preset = data::nytimes();
   preset.real_samples = 2400;

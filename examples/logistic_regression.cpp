@@ -9,14 +9,14 @@
 //
 // With a libsvm file argument, the planted synthetic data is replaced by
 // the file's rows (all partitions draw from it round-robin). With
-// --trace-out (or SPARKER_TRACE_OUT set), the Sparker run records a
-// structured trace written as Chrome trace_event JSON (Perfetto-loadable).
+// --trace-out, the Sparker run records a structured trace written as
+// Chrome trace_event JSON (Perfetto-loadable).
 
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
-#include "bench_util/trace_opt.hpp"
+#include "bench_util/cli.hpp"
 #include "data/libsvm.hpp"
 #include "data/presets.hpp"
 #include "engine/cluster.hpp"
@@ -46,9 +46,12 @@ double accuracy(const ml::DenseVector& w,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string trace_out = bench::trace_out_option(argc, argv);
-  const int iterations = argc > 1 ? std::atoi(argv[1]) : 20;
-  const std::string libsvm_path = argc > 2 ? argv[2] : "";
+  std::string trace_out, libsvm_path;
+  int iterations = 20;
+  bench::Cli({{"iterations", bench::integer(&iterations, 1)},
+              {"path.libsvm", bench::text(&libsvm_path)},
+              {"--trace-out", bench::text(&trace_out), "path"}})
+      .parse(argc, argv);
 
   data::DatasetPreset preset = data::avazu();
   std::vector<ml::LabeledPoint> file_rows;

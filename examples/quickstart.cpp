@@ -7,15 +7,15 @@
 //
 // Build & run:   ./build/examples/quickstart [--trace-out trace.json]
 //
-// With --trace-out (or SPARKER_TRACE_OUT set), the run records a structured
-// trace and writes it as Chrome trace_event JSON — open it in Perfetto or
-// chrome://tracing to see both aggregations span by span.
+// With --trace-out, the run records a structured trace and writes it as
+// Chrome trace_event JSON — open it in Perfetto or chrome://tracing to see
+// both aggregations span by span.
 
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "bench_util/trace_opt.hpp"
+#include "bench_util/cli.hpp"
 #include "engine/aggregate.hpp"
 #include "engine/cluster.hpp"
 #include "engine/rdd.hpp"
@@ -27,7 +27,9 @@ using namespace sparker;
 using Vec = std::vector<std::int64_t>;
 
 int main(int argc, char** argv) {
-  const std::string trace_out = bench::trace_out_option(argc, argv);
+  std::string trace_out;
+  bench::Cli({{"--trace-out", bench::text(&trace_out), "path"}})
+      .parse(argc, argv);
 
   // A 4-node cluster modeled after the paper's BIC testbed (Table 1).
   sim::Simulator simulator;

@@ -11,41 +11,39 @@
 //       [backend=sc|bm|mpi]
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "bench_util/cli.hpp"
 #include "bench_util/runners.hpp"
 
 using namespace sparker;
 
 int main(int argc, char** argv) {
   bench::RsOptions opt;
-  opt.executors = argc > 1 ? std::atoi(argv[1]) : 48;
-  opt.parallelism = argc > 2 ? std::atoi(argv[2]) : 4;
-  const int msg_mb = argc > 3 ? std::atoi(argv[3]) : 256;
+  int msg_mb = 256, topo = 1;
+  std::string backend = "sc";
+  const auto backend_of = [&](const std::string& v) -> std::string {
+    backend = v;
+    if (v == "sc") {
+      opt.backend = bench::CommBackend::kScalable;
+    } else if (v == "bm") {
+      opt.backend = bench::CommBackend::kBlockManager;
+    } else if (v == "mpi") {
+      opt.backend = bench::CommBackend::kMpi;
+    } else {
+      return "is not one of sc|bm|mpi";
+    }
+    return "";
+  };
+  bench::Cli({{"executors", bench::integer(&opt.executors, 1)},
+              {"parallelism", bench::integer(&opt.parallelism, 1)},
+              {"msg_mb", bench::integer(&msg_mb, 1)},
+              {"topo", bench::integer(&topo)},
+              {"algo", bench::algo(&opt.algo)},
+              {"backend", backend_of}})
+      .parse(argc, argv);
   opt.message_bytes = static_cast<std::uint64_t>(msg_mb) << 20;
-  opt.topology_aware = argc > 4 ? std::atoi(argv[4]) != 0 : true;
-  std::string algo = argc > 5 ? argv[5] : "ring";
-  std::string backend = argc > 6 ? argv[6] : "sc";
-
-  if (auto id = comm::parse_algo(algo)) {
-    opt.algo = *id;
-  } else {
-    std::fprintf(stderr, "unknown algo '%s' (expected %s)\n", algo.c_str(),
-                 comm::algo_names().c_str());
-    return 1;
-  }
-  if (backend == "sc") {
-    opt.backend = bench::CommBackend::kScalable;
-  } else if (backend == "bm") {
-    opt.backend = bench::CommBackend::kBlockManager;
-  } else if (backend == "mpi") {
-    opt.backend = bench::CommBackend::kMpi;
-  } else {
-    std::fprintf(stderr, "unknown backend '%s'\n", backend.c_str());
-    return 1;
-  }
+  opt.topology_aware = topo != 0;
 
   const net::ClusterSpec spec = net::ClusterSpec::bic();
   if (opt.algo == comm::AlgoId::kAuto) {
@@ -57,8 +55,8 @@ int main(int argc, char** argv) {
       "reduce-scatter: %d executors, P=%d, %d MB, %s, algo=%s, backend=%s\n"
       "simulated time: %.3f s  (%.1f MB/s effective per executor)\n",
       opt.executors, opt.parallelism, msg_mb,
-      opt.topology_aware ? "topology-aware" : "by-executor-id", algo.c_str(),
-      backend.c_str(), secs,
+      opt.topology_aware ? "topology-aware" : "by-executor-id",
+      comm::to_string(opt.algo), backend.c_str(), secs,
       static_cast<double>(opt.message_bytes) / 1e6 / secs);
   return 0;
 }

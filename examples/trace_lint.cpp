@@ -1,5 +1,5 @@
 // trace_lint: well-formedness checker for exported Chrome trace_event
-// JSON files, as produced by --trace-out / SPARKER_TRACE_OUT.
+// JSON files, as produced by --trace-out.
 //
 // Usage:   ./build/examples/trace_lint trace.json [more.json ...]
 //
@@ -13,19 +13,23 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "bench_util/cli.hpp"
 #include "obs/export.hpp"
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr, "usage: %s <trace.json> [more.json ...]\n", argv[0]);
-    return 2;
-  }
+  std::vector<std::string> files;
+  sparker::bench::Cli cli({{"trace.json", sparker::bench::list(&files), "",
+                            /*repeats=*/true}});
+  cli.parse(argc, argv);
+  if (files.empty()) cli.fail("needs at least one trace file");
   int failures = 0;
-  for (int i = 1; i < argc; ++i) {
-    std::ifstream in(argv[i], std::ios::binary);
+  for (const std::string& file : files) {
+    const char* name = file.c_str();
+    std::ifstream in(file, std::ios::binary);
     if (!in) {
-      std::fprintf(stderr, "%s: cannot open\n", argv[i]);
+      std::fprintf(stderr, "%s: cannot open\n", name);
       ++failures;
       continue;
     }
@@ -34,7 +38,7 @@ int main(int argc, char** argv) {
     const sparker::obs::FileLintResult r =
         sparker::obs::lint_chrome_trace_text(buf.str());
     if (!r.parsed) {
-      std::fprintf(stderr, "%s: FAIL: %s\n", argv[i], r.error.c_str());
+      std::fprintf(stderr, "%s: FAIL: %s\n", name, r.error.c_str());
       ++failures;
       continue;
     }
@@ -43,12 +47,12 @@ int main(int argc, char** argv) {
                    "%s: FAIL: %zu unclosed span(s), %zu span(s) missing dur, "
                    "%zu negative duration(s), %zu collective span(s) "
                    "missing algo\n",
-                   argv[i], r.unclosed, r.spans_missing_dur,
+                   name, r.unclosed, r.spans_missing_dur,
                    r.negative_durations, r.collective_spans_missing_algo);
       ++failures;
       continue;
     }
-    std::printf("%s: ok (%zu events, %zu spans, %zu collective)\n", argv[i],
+    std::printf("%s: ok (%zu events, %zu spans, %zu collective)\n", name,
                 r.events, r.spans, r.collective_spans);
   }
   return failures ? 1 : 0;

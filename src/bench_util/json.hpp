@@ -2,12 +2,12 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench_util/table.hpp"
+#include "obs/json.hpp"
 
 /// \file json.hpp
 /// Machine-readable bench output. Every figure/ablation binary writes a
@@ -18,46 +18,22 @@
 
 namespace sparker::bench {
 
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
-}
+/// The host-speed keys with_sim_speed() writes, in order. They vary with
+/// machine load, not with simulated behaviour, so `bench_gate` strips them.
+inline constexpr const char* kSimSpeedKeys[] = {
+    "sim_runs",      "sim_events",     "sim_wall_s",
+    "sim_virtual_s", "events_per_sec", "wall_per_sim_sec"};
 
-/// True if the whole cell parses as a finite JSON-representable number
-/// ("12", "-3.25", "1e6" — but not "1.50x", "4 MiB", or "").
+/// True if the whole cell is a JSON number ("12", "-3.25", "1e6" — but not
+/// "1.50x", "4 MiB", ".5" or ""), so the report can write it unquoted.
 inline bool is_numeric_cell(const std::string& s) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  std::strtod(s.c_str(), &end);
-  if (end != s.c_str() + s.size()) return false;
-  return s.find_first_of("nN") == std::string::npos;  // reject nan/inf forms
+  std::string error;
+  const auto v = obs::json::parse(s, error);
+  return v && v->kind == obs::json::Value::Kind::kNumber;
 }
 
 inline std::string json_cell(const std::string& s) {
-  if (is_numeric_cell(s)) return s;
-  std::string out;
-  out.reserve(s.size() + 2);
-  out.push_back('"');
-  out += json_escape(s);
-  out.push_back('"');
-  return out;
+  return is_numeric_cell(s) ? s : obs::json::quoted(s);
 }
 
 /// Accumulates config scalars and result tables, then writes
@@ -105,9 +81,8 @@ class JsonReport {
       out += "\n    {";
       for (std::size_t c = 0; c < row.size() && c < t.headers().size(); ++c) {
         if (c > 0) out += ", ";
-        out.push_back('"');
-        out += json_escape(t.headers()[c]);
-        out += "\": ";
+        obs::json::append_quoted(out, t.headers()[c]);
+        out += ": ";
         out += json_cell(row[c]);
       }
       out += "}";
@@ -130,9 +105,9 @@ class JsonReport {
       std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
       return false;
     }
-    std::fprintf(f, "{\n  \"bench\": \"%s\"", json_escape(name_).c_str());
+    std::fprintf(f, "{\n  \"bench\": %s", obs::json::quoted(name_).c_str());
     for (const auto& [k, v] : fields_) {
-      std::fprintf(f, ",\n  \"%s\": %s", json_escape(k).c_str(), v.c_str());
+      std::fprintf(f, ",\n  %s: %s", obs::json::quoted(k).c_str(), v.c_str());
     }
     std::fprintf(f, "\n}\n");
     std::fclose(f);

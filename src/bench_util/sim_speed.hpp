@@ -61,12 +61,12 @@ class SimSpeedScope {
 /// Appends the accumulated kernel-speed fields to a bench report.
 inline JsonReport& add_sim_speed_fields(JsonReport& r) {
   const SimSpeedStats& s = sim_speed();
-  r.set("sim_runs", s.runs);
-  r.set("sim_events", s.events);
-  r.set("sim_wall_s", s.wall_s);
-  r.set("sim_virtual_s", s.sim_s);
-  r.set("events_per_sec", s.wall_s > 0 ? s.events / s.wall_s : 0.0);
-  r.set("wall_per_sim_sec", s.sim_s > 0 ? s.wall_s / s.sim_s : 0.0);
+  r.set(kSimSpeedKeys[0], s.runs);
+  r.set(kSimSpeedKeys[1], s.events);
+  r.set(kSimSpeedKeys[2], s.wall_s);
+  r.set(kSimSpeedKeys[3], s.sim_s);
+  r.set(kSimSpeedKeys[4], s.wall_s > 0 ? s.events / s.wall_s : 0.0);
+  r.set(kSimSpeedKeys[5], s.sim_s > 0 ? s.wall_s / s.sim_s : 0.0);
   return r;
 }
 

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <set>
+#include <string_view>
+
+#include "obs/json.hpp"
 
 namespace sparker::obs {
 
@@ -19,27 +22,13 @@ void append_us(std::string& out, sim::Time t) {
   out += buf;
 }
 
-void append_json_string(std::string& out, const char* s) {
-  out.push_back('"');
-  for (const char* p = s; *p; ++p) {
-    switch (*p) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out.push_back(*p);
-    }
-  }
-  out.push_back('"');
-}
-
 void append_args(std::string& out, const TraceEvent& ev, bool unclosed) {
   out += "\"args\":{";
   bool first = true;
   for (const Arg& a : ev.args) {
     if (!first) out.push_back(',');
     first = false;
-    append_json_string(out, a.key);
+    json::append_quoted(out, a.key);
     out.push_back(':');
     out += std::to_string(a.value);
   }
@@ -89,7 +78,7 @@ std::string chrome_trace_json(const TraceSink& sink) {
     sep();
     out += "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" +
            std::to_string(pid) + ",\"tid\":0,\"args\":{\"name\":";
-    append_json_string(out, process_name(pid).c_str());
+    json::append_quoted(out, process_name(pid));
     out += "}}";
     sep();
     out += "{\"ph\":\"M\",\"name\":\"process_sort_index\",\"pid\":" +
@@ -105,9 +94,9 @@ std::string chrome_trace_json(const TraceSink& sink) {
         const sim::Time end =
             unclosed ? std::max(max_ts, ev.ts) : std::max(ev.end, ev.ts);
         out += "{\"ph\":\"X\",\"name\":";
-        append_json_string(out, ev.name);
+        json::append_quoted(out, ev.name);
         out += ",\"cat\":";
-        append_json_string(out, ev.cat);
+        json::append_quoted(out, ev.cat);
         out += ",\"pid\":" + std::to_string(ev.pid) +
                ",\"tid\":" + std::to_string(ev.tid) + ",\"ts\":";
         append_us(out, ev.ts);
@@ -120,9 +109,9 @@ std::string chrome_trace_json(const TraceSink& sink) {
       }
       case EventKind::kInstant: {
         out += "{\"ph\":\"i\",\"s\":\"t\",\"name\":";
-        append_json_string(out, ev.name);
+        json::append_quoted(out, ev.name);
         out += ",\"cat\":";
-        append_json_string(out, ev.cat);
+        json::append_quoted(out, ev.cat);
         out += ",\"pid\":" + std::to_string(ev.pid) +
                ",\"tid\":" + std::to_string(ev.tid) + ",\"ts\":";
         append_us(out, ev.ts);
@@ -133,7 +122,7 @@ std::string chrome_trace_json(const TraceSink& sink) {
       }
       case EventKind::kCounter: {
         out += "{\"ph\":\"C\",\"name\":";
-        append_json_string(out, ev.name);
+        json::append_quoted(out, ev.name);
         out += ",\"pid\":" + std::to_string(ev.pid) + ",\"tid\":0,\"ts\":";
         append_us(out, ev.ts);
         out += ",\"args\":{\"value\":" + std::to_string(ev.value) + "}}";
@@ -179,247 +168,53 @@ SinkLintResult lint(const TraceSink& sink) {
 
 namespace {
 
-/// Minimal recursive-descent JSON validator that, while checking syntax,
-/// inspects each object inside the top-level "traceEvents" array for the
-/// span shape checks. No DOM is built.
-class TraceLinter {
- public:
-  TraceLinter(const std::string& text, FileLintResult& r)
-      : s_(text), r_(&r) {}
-
-  bool run() {
-    skip_ws();
-    if (!value(0, Role::kRoot)) return false;
-    skip_ws();
-    if (pos_ != s_.size()) return fail("trailing data after JSON value");
-    return true;
+/// True if an object anywhere inside `v` (`v` included) has a `key` member.
+bool has_key(const json::Value& v, std::string_view key) {
+  for (const auto& [k, item] : v.fields) {
+    if (k == key || has_key(item, key)) return true;
   }
-
- private:
-  // Where the current value sits relative to the traceEvents array.
-  enum class Role { kRoot, kPlain, kEventsArray, kEventObject, kEventInner };
-
-  bool fail(const char* msg) {
-    if (r_->error.empty()) {
-      r_->error = std::string(msg) + " at byte " + std::to_string(pos_);
-    }
-    return false;
+  for (const json::Value& item : v.items) {
+    if (has_key(item, key)) return true;
   }
-
-  void skip_ws() {
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
-    }
-  }
-
-  bool value(int depth, Role role) {
-    if (depth > 64) return fail("nesting too deep");
-    skip_ws();
-    if (pos_ >= s_.size()) return fail("unexpected end of input");
-    const char c = s_[pos_];
-    if (c == '{') return object(depth, role);
-    if (c == '[') return array(depth, role);
-    if (c == '"') {
-      std::string str;
-      return string_lit(&str);
-    }
-    if (c == 't') return keyword("true");
-    if (c == 'f') return keyword("false");
-    if (c == 'n') return keyword("null");
-    double num;
-    return number_lit(&num);
-  }
-
-  bool keyword(const char* kw) {
-    const std::size_t n = std::strlen(kw);
-    if (s_.compare(pos_, n, kw) != 0) return fail("invalid literal");
-    pos_ += n;
-    return true;
-  }
-
-  bool string_lit(std::string* out) {
-    if (s_[pos_] != '"') return fail("expected string");
-    ++pos_;
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_];
-      if (c == '"') {
-        ++pos_;
-        return true;
-      }
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= s_.size()) return fail("bad escape");
-        const char e = s_[pos_];
-        if (e == 'u') {
-          if (pos_ + 4 >= s_.size()) return fail("bad \\u escape");
-          pos_ += 4;
-        } else if (!std::strchr("\"\\/bfnrt", e)) {
-          return fail("bad escape character");
-        }
-        ++pos_;
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        return fail("unescaped control character in string");
-      } else {
-        out->push_back(c);
-        ++pos_;
-      }
-    }
-    return fail("unterminated string");
-  }
-
-  bool number_lit(double* out) {
-    const char* start = s_.c_str() + pos_;
-    char* end = nullptr;
-    *out = std::strtod(start, &end);
-    if (end == start) return fail("expected value");
-    pos_ += static_cast<std::size_t>(end - start);
-    return true;
-  }
-
-  bool object(int depth, Role role) {
-    ++pos_;  // '{'
-    Ev ev;
-    Ev* saved = cur_;
-    if (role == Role::kEventObject) cur_ = &ev;
-
-    skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == '}') {
-      ++pos_;
-    } else {
-      while (true) {
-        skip_ws();
-        std::string key;
-        if (!string_lit(&key)) return false;
-        skip_ws();
-        if (pos_ >= s_.size() || s_[pos_] != ':') return fail("expected ':'");
-        ++pos_;
-
-        Role child = Role::kPlain;
-        if (role == Role::kRoot && key == "traceEvents") {
-          child = Role::kEventsArray;
-        } else if (role == Role::kEventObject || role == Role::kEventInner) {
-          child = Role::kEventInner;
-        }
-
-        skip_ws();
-        if (cur_ && role == Role::kEventObject && key == "ph" &&
-            pos_ < s_.size() && s_[pos_] == '"') {
-          std::string ph;
-          if (!string_lit(&ph)) return false;
-          if (ph == "X") cur_->is_span = true;
-        } else if (cur_ && role == Role::kEventObject && key == "cat" &&
-                   pos_ < s_.size() && s_[pos_] == '"') {
-          std::string cat;
-          if (!string_lit(&cat)) return false;
-          if (cat == "collective") cur_->is_collective = true;
-        } else if (cur_ && role == Role::kEventObject && key == "dur") {
-          double d;
-          if (!number_lit(&d)) return false;
-          cur_->has_dur = true;
-          cur_->dur = d;
-        } else {
-          if (cur_ && key == "unclosed" &&
-              (role == Role::kEventObject || role == Role::kEventInner)) {
-            cur_->unclosed = true;
-          }
-          if (cur_ && key == "algo" &&
-              (role == Role::kEventObject || role == Role::kEventInner)) {
-            cur_->has_algo = true;
-          }
-          if (!value(depth + 1, child)) return false;
-        }
-
-        skip_ws();
-        if (pos_ >= s_.size()) return fail("unterminated object");
-        if (s_[pos_] == ',') {
-          ++pos_;
-          continue;
-        }
-        if (s_[pos_] == '}') {
-          ++pos_;
-          break;
-        }
-        return fail("expected ',' or '}'");
-      }
-    }
-
-    cur_ = saved;
-    if (role == Role::kEventObject) {
-      ++r_->events;
-      if (ev.is_span) {
-        ++r_->spans;
-        if (!ev.has_dur) {
-          ++r_->spans_missing_dur;
-        } else if (ev.dur < 0) {
-          ++r_->negative_durations;
-        }
-        if (ev.unclosed) ++r_->unclosed;
-        if (ev.is_collective) {
-          ++r_->collective_spans;
-          if (!ev.has_algo) ++r_->collective_spans_missing_algo;
-        }
-      }
-    }
-    return true;
-  }
-
-  bool array(int depth, Role role) {
-    ++pos_;  // '['
-    skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      Role child = Role::kPlain;
-      if (role == Role::kEventsArray) {
-        child = (pos_ < s_.size() && s_[pos_] == '{') ? Role::kEventObject
-                                                      : Role::kPlain;
-      } else if (role == Role::kEventInner) {
-        child = Role::kEventInner;
-      }
-      if (!value(depth + 1, child)) return false;
-      skip_ws();
-      if (pos_ >= s_.size()) return fail("unterminated array");
-      if (s_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (s_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return fail("expected ',' or ']'");
-    }
-  }
-
-  // Shape capture for the event object currently being parsed. Event
-  // objects never nest inside each other, but their args objects do nest
-  // inside them, so the pointer is saved/restored around every object.
-  struct Ev {
-    bool is_span = false;
-    bool is_collective = false;
-    bool has_dur = false;
-    bool has_algo = false;
-    double dur = 0;
-    bool unclosed = false;
-  };
-
-  const std::string& s_;
-  FileLintResult* r_;
-  std::size_t pos_ = 0;
-  Ev* cur_ = nullptr;
-};
+  return false;
+}
 
 }  // namespace
 
 FileLintResult lint_chrome_trace_text(const std::string& text) {
   FileLintResult r;
-  TraceLinter linter(text, r);
-  r.parsed = linter.run();
+  const std::optional<json::Value> doc = json::parse(text, r.error);
+  r.parsed = doc.has_value();
+  if (!doc) return r;
+  for (const auto& [root_key, list] : doc->fields) {
+    if (root_key != "traceEvents") continue;
+    for (const json::Value& ev : list.items) {
+      if (ev.kind != json::Value::Kind::kObject) continue;
+      ++r.events;
+      bool span = false, collective = false;
+      const json::Value* dur = nullptr;
+      for (const auto& [key, v] : ev.fields) {
+        // Only a string value has a non-empty str.
+        if (key == "ph" && v.str == "X") span = true;
+        if (key == "cat" && v.str == "collective") collective = true;
+        if (key == "dur") dur = &v;
+      }
+      if (!span) continue;
+      ++r.spans;
+      if (!dur || dur->kind != json::Value::Kind::kNumber) {
+        ++r.spans_missing_dur;
+      } else if (dur->num < 0) {
+        ++r.negative_durations;
+      }
+      // The exporter tags auto-closed spans in args; the key counts at any
+      // depth inside the event, as does the collective's algo.
+      if (has_key(ev, "unclosed")) ++r.unclosed;
+      if (collective) {
+        ++r.collective_spans;
+        if (!has_key(ev, "algo")) ++r.collective_spans_missing_algo;
+      }
+    }
+  }
   return r;
 }
 

@@ -45,11 +45,13 @@ struct SinkLintResult {
 };
 SinkLintResult lint(const TraceSink& sink);
 
-/// File-level lint of an exported trace: the text must be valid JSON, every
-/// "X" span must carry a non-negative dur, and no span may be tagged
-/// unclosed. Used by the `trace_lint` tool and CI.
+/// File-level lint of an exported trace: the text must be strict JSON
+/// (obs::json::parse), every "X" span in the root's `traceEvents` must
+/// carry a non-negative numeric dur, no span may be tagged unclosed, and
+/// every collective span must name its algo. Used by the `trace_lint` tool
+/// and CI.
 struct FileLintResult {
-  bool parsed = false;       ///< text is syntactically valid JSON
+  bool parsed = false;       ///< text is strict RFC 8259 JSON
   std::string error;         ///< parse error description when !parsed
   std::size_t events = 0;    ///< traceEvents entries
   std::size_t spans = 0;     ///< "ph":"X" entries

@@ -211,6 +211,88 @@ TEST(Metrics, PrometheusExpositionGoldenFormat) {
 }
 
 // ===========================================================================
+// File lint verdicts (lint_chrome_trace_text)
+// ===========================================================================
+
+// Pins the file lint's verdict on each kind of malformed input and each
+// span-shape defect. Rows marked `tightened` are non-RFC 8259 inputs the
+// hand-written validator used to accept; the strict reader rejects them.
+TEST(TraceLint, VerdictTable) {
+  struct Case {
+    const char* label;
+    std::string text;
+    bool parsed = false;
+    bool ok = false;
+    std::size_t events = 0, spans = 0, unclosed = 0, missing_dur = 0,
+                negative = 0, collective = 0, missing_algo = 0;
+  };
+  const auto wrap = [](const std::string& events) {
+    return "{\"traceEvents\":[" + events + "]}";
+  };
+  // `n` nested arrays; the innermost sits at depth n - 1 (the root is 0).
+  const auto nested = [](int n) {
+    return std::string(static_cast<std::size_t>(n), '[') +
+           std::string(static_cast<std::size_t>(n), ']');
+  };
+  const Case cases[] = {
+      // Malformed input never parses.
+      {"empty input", ""},
+      {"trailing data", wrap("") + " x"},
+      {"trailing comma in object", "{\"traceEvents\":[],}"},
+      {"trailing comma in array", wrap("1,")},
+      {"unterminated string", "{\"traceEvents\":[{\"ph\":\"X"},
+      {"raw control character", wrap("{\"name\":\"a\x01z\"}")},
+      {"\\x escape", wrap("{\"name\":\"\\x41\"}")},
+      {"truncated \\u12", wrap("{\"name\":\"\\u12\"}")},
+      {"value at depth 65", nested(66)},
+      {"depth 64 still parses", nested(65), true, true},
+      {"exponent without digits", wrap("{\"dur\":1e}")},
+      {"minus inside a number", wrap("{\"dur\":1-2}")},
+      {"tightened: leading '.'", wrap("{\"dur\":.5}")},
+      {"tightened: hex number", wrap("{\"dur\":0x1F}")},
+      {"tightened: inf", wrap("{\"dur\":inf}")},
+      {"tightened: leading '+'", wrap("{\"dur\":+3}")},
+      {"tightened: \\uZZZZ", wrap("{\"name\":\"\\uZZZZ\"}")},
+      // Span shape.
+      {"X without dur", wrap(R"({"ph":"X","name":"a"})"), true, false, 1, 1,
+       0, 1},
+      {"negative dur", wrap(R"({"ph":"X","dur":-1.5})"), true, false, 1, 1, 0,
+       0, 1},
+      // The hand-written validator failed to parse a non-numeric dur.
+      {"changed: string dur", wrap(R"({"ph":"X","dur":"1"})"), true, false, 1,
+       1, 0, 1},
+      {"unclosed inside args",
+       wrap(R"({"ph":"X","dur":1,"args":{"unclosed":1}})"), true, false, 1, 1,
+       1},
+      {"collective with algo in args",
+       wrap(R"({"ph":"X","cat":"collective","dur":1,"args":{"algo":1}})"),
+       true, true, 1, 1, 0, 0, 0, 1, 0},
+      {"collective without algo",
+       wrap(R"({"ph":"X","cat":"collective","dur":1,"args":{"job":0}})"),
+       true, false, 1, 1, 0, 0, 0, 1, 1},
+      {"traceEvents not at the root",
+       R"({"meta":{"traceEvents":[{"ph":"X"}]},"traceEvents":[]})", true,
+       true},
+      {"only object entries are events",
+       wrap(R"(1,"x",{"ph":"M"},{"ph":"i","ts":2},{"ph":"X","dur":0.5})"),
+       true, true, 3, 1},
+  };
+  for (const Case& c : cases) {
+    const obs::FileLintResult r = obs::lint_chrome_trace_text(c.text);
+    EXPECT_EQ(r.parsed, c.parsed) << c.label << ": " << r.error;
+    EXPECT_EQ(r.error.empty(), c.parsed) << c.label;
+    EXPECT_EQ(r.ok(), c.ok) << c.label;
+    EXPECT_EQ(r.events, c.events) << c.label;
+    EXPECT_EQ(r.spans, c.spans) << c.label;
+    EXPECT_EQ(r.unclosed, c.unclosed) << c.label;
+    EXPECT_EQ(r.spans_missing_dur, c.missing_dur) << c.label;
+    EXPECT_EQ(r.negative_durations, c.negative) << c.label;
+    EXPECT_EQ(r.collective_spans, c.collective) << c.label;
+    EXPECT_EQ(r.collective_spans_missing_algo, c.missing_algo) << c.label;
+  }
+}
+
+// ===========================================================================
 // Engine scenarios: a split aggregation under fault/straggler schedules
 // ===========================================================================
 
