@@ -29,6 +29,7 @@
 #include "bench_util/json.hpp"
 #include "bench_util/sim_speed.hpp"
 #include "bench_util/table.hpp"
+#include "bench_util/vec_sai.hpp"
 #include "engine/aggregate.hpp"
 #include "engine/cluster.hpp"
 #include "engine/config.hpp"
@@ -91,33 +92,13 @@ engine::SplitAggSpec<std::int64_t, Vec, Vec> make_spec(int dim,
   spec.base.seq_op = [dim](Vec& u, const std::int64_t& row) {
     for (int i = 0; i < dim; ++i) u[static_cast<std::size_t>(i)] += row + i;
   };
-  spec.base.comb_op = [](Vec& a, const Vec& b) {
-    for (std::size_t i = 0; i < a.size(); ++i) a[i] += b[i];
-  };
-  spec.base.bytes = [scale](const Vec& v) {
-    return static_cast<std::uint64_t>(v.size() * sizeof(std::int64_t)) *
-           scale;
-  };
+  spec.base.comb_op = bench::vec_sai::add;
+  spec.base.bytes = bench::vec_sai::bytes(scale);
   spec.base.partition_cost = [row_cost, rows_used](
                                  int, const std::vector<std::int64_t>&) {
     return row_cost * rows_used;
   };
-  spec.split_op = [](const Vec& u, int seg, int nseg) {
-    const int len = static_cast<int>(u.size());
-    const int base = len / nseg, rem = len % nseg;
-    const int lo = seg * base + std::min(seg, rem);
-    const int hi = lo + base + (seg < rem ? 1 : 0);
-    return Vec(u.begin() + lo, u.begin() + hi);
-  };
-  spec.reduce_op = [](Vec& a, const Vec& b) {
-    for (std::size_t i = 0; i < a.size(); ++i) a[i] += b[i];
-  };
-  spec.concat_op = [](std::vector<std::pair<int, Vec>>& segs) {
-    Vec out;
-    for (auto& [idx, v] : segs) out.insert(out.end(), v.begin(), v.end());
-    return out;
-  };
-  spec.v_bytes = spec.base.bytes;
+  bench::vec_sai::set_callbacks(spec);
   return spec;
 }
 

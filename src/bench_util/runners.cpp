@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "bench_util/sim_speed.hpp"
+#include "bench_util/vec_sai.hpp"
 #include "obs/export.hpp"
 
 namespace sparker::bench {
@@ -99,15 +100,10 @@ double reduce_scatter_seconds(const net::ClusterSpec& spec, RsOptions opt) {
   auto body = [&](int rank) -> Task<void> {
     const Vec& local = locals[static_cast<std::size_t>(rank)];
     comm::SegOps<Vec> ops;
-    ops.split = [&local, len](int seg, int nseg) {
-      const int base = len / nseg, rem = len % nseg;
-      const int lo = seg * base + std::min(seg, rem);
-      const int hi = lo + base + (seg < rem ? 1 : 0);
-      return Vec(local.begin() + lo, local.begin() + hi);
+    ops.split = [&local](int seg, int nseg) {
+      return vec_sai::split(local, seg, nseg);
     };
-    ops.reduce_into = [](Vec& a, const Vec& b) {
-      for (std::size_t i = 0; i < a.size(); ++i) a[i] += b[i];
-    };
+    ops.reduce_into = vec_sai::add;
     ops.bytes = [bytes_scale](const Vec& v) {
       return static_cast<std::uint64_t>(
           static_cast<double>(v.size() * sizeof(std::int64_t)) * bytes_scale);
@@ -157,10 +153,8 @@ AggBenchResult aggregation_bench(const net::ClusterSpec& spec,
   const double merge_bw = spec.rates.merge_bw;
   engine::TreeAggSpec<Vec, Vec> tree;
   tree.zero = Vec(static_cast<std::size_t>(len), 0);
-  tree.seq_op = [](Vec& agg, const Vec& row) {
-    for (std::size_t i = 0; i < agg.size(); ++i) agg[i] += row[i];
-  };
-  tree.comb_op = tree.seq_op;
+  tree.seq_op = vec_sai::add;
+  tree.comb_op = vec_sai::add;
   tree.bytes = [bytes_scale](const Vec& v) {
     return static_cast<std::uint64_t>(
         static_cast<double>(v.size() * sizeof(std::int64_t)) * bytes_scale);
@@ -177,22 +171,7 @@ AggBenchResult aggregation_bench(const net::ClusterSpec& spec,
   if (mode == engine::AggMode::kSplit) {
     engine::SplitAggSpec<Vec, Vec, Vec> split;
     split.base = tree;
-    split.split_op = [](const Vec& u, int seg, int nseg) {
-      const int l = static_cast<int>(u.size());
-      const int base = l / nseg, rem = l % nseg;
-      const int lo = seg * base + std::min(seg, rem);
-      const int hi = lo + base + (seg < rem ? 1 : 0);
-      return Vec(u.begin() + lo, u.begin() + hi);
-    };
-    split.reduce_op = [](Vec& a, const Vec& b) {
-      for (std::size_t i = 0; i < a.size(); ++i) a[i] += b[i];
-    };
-    split.concat_op = [](std::vector<std::pair<int, Vec>>& segs) {
-      Vec out;
-      for (auto& [idx, v] : segs) out.insert(out.end(), v.begin(), v.end());
-      return out;
-    };
-    split.v_bytes = tree.bytes;
+    vec_sai::set_callbacks(split);
     auto job = [&]() -> Task<Vec> {
       co_return co_await engine::split_aggregate(cl, rdd, split, &m);
     };

@@ -13,7 +13,7 @@
 /// The MetricsRegistry is the cluster-lifetime accumulation point that
 /// absorbs what used to live as loose fields scattered across job-local
 /// structs: engine jobs publish their per-job AggMetrics into it on
-/// completion (see engine/aggregate.hpp), the health monitor mirrors its
+/// completion (see engine/aggregate.cpp), the health monitor mirrors its
 /// transition counts, and instrumented layers record latency histograms.
 /// AggMetrics itself remains as a thin per-job compatibility view; anything
 /// that wants totals across jobs reads the registry.
@@ -149,61 +149,6 @@ class MetricsRegistry {
     }
     out += first ? "}\n" : "\n  }\n";
     out += "}\n";
-    return out;
-  }
-
-  /// Sanitizes a metric name for Prometheus: [a-zA-Z0-9_:] pass through,
-  /// everything else (the registry's '.' separators in particular) maps to
-  /// '_'; a leading digit gets a '_' prefix.
-  static std::string prometheus_name(const std::string& name) {
-    std::string out;
-    out.reserve(name.size() + 1);
-    for (char c : name) {
-      const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9') || c == '_' || c == ':';
-      out.push_back(ok ? c : '_');
-    }
-    if (!out.empty() && out[0] >= '0' && out[0] <= '9') out.insert(0, "_");
-    return out;
-  }
-
-  /// Prometheus text exposition (format version 0.0.4) of the whole
-  /// registry, deterministic like to_json(). Counters and gauges map
-  /// directly; a log2 histogram becomes cumulative `le` buckets whose upper
-  /// bounds are 2^b - 1 (the largest value bucket b can hold), plus the
-  /// standard `_sum`/`_count` series.
-  std::string to_prometheus() const {
-    std::string out;
-    for (const auto& [k, v] : counters_) {
-      const std::string name = prometheus_name(k);
-      out += "# TYPE " + name + " counter\n";
-      out += name + " " + std::to_string(v) + "\n";
-    }
-    for (const auto& [k, v] : gauges_) {
-      const std::string name = prometheus_name(k);
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%.9g", v);
-      out += "# TYPE " + name + " gauge\n";
-      out += name + " " + buf + "\n";
-    }
-    for (const auto& [k, h] : histograms_) {
-      const std::string name = prometheus_name(k);
-      out += "# TYPE " + name + " histogram\n";
-      int hi = -1;
-      for (int b = 0; b < Histogram::kBuckets; ++b) {
-        if (h.buckets[static_cast<std::size_t>(b)] != 0) hi = b;
-      }
-      std::uint64_t cum = 0;
-      for (int b = 0; b <= hi; ++b) {
-        cum += h.buckets[static_cast<std::size_t>(b)];
-        const std::uint64_t bound = (std::uint64_t{1} << b) - 1;
-        out += name + "_bucket{le=\"" + std::to_string(bound) + "\"} " +
-               std::to_string(cum) + "\n";
-      }
-      out += name + "_bucket{le=\"+Inf\"} " + std::to_string(h.count) + "\n";
-      out += name + "_sum " + std::to_string(h.sum) + "\n";
-      out += name + "_count " + std::to_string(h.count) + "\n";
-    }
     return out;
   }
 

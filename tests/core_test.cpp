@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "bench_util/vec_sai.hpp"
 #include "core/sparker.hpp"
 #include "engine/aggregate.hpp"
 #include "ml/train.hpp"
@@ -38,23 +39,9 @@ engine::SplitAggSpec<std::int64_t, Vec, Vec> sum_spec(int dim) {
   spec.base.seq_op = [dim](Vec& u, const std::int64_t& row) {
     for (int i = 0; i < dim; ++i) u[static_cast<std::size_t>(i)] += row;
   };
-  spec.base.comb_op = [](Vec& a, const Vec& b) {
-    for (std::size_t i = 0; i < a.size(); ++i) a[i] += b[i];
-  };
+  spec.base.comb_op = bench::vec_sai::add;
   spec.base.bytes = [](const Vec& v) { return v.size() * 8; };
-  spec.split_op = [](const Vec& u, int seg, int nseg) {
-    const int len = static_cast<int>(u.size());
-    const int base = len / nseg, rem = len % nseg;
-    const int lo = seg * base + std::min(seg, rem);
-    return Vec(u.begin() + lo, u.begin() + lo + base + (seg < rem ? 1 : 0));
-  };
-  spec.reduce_op = spec.base.comb_op;
-  spec.concat_op = [](std::vector<std::pair<int, Vec>>& segs) {
-    Vec out;
-    for (auto& [i, v] : segs) out.insert(out.end(), v.begin(), v.end());
-    return out;
-  };
-  spec.v_bytes = spec.base.bytes;
+  bench::vec_sai::set_callbacks(spec);
   return spec;
 }
 

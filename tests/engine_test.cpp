@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util/vec_sai.hpp"
 #include "engine/aggregate.hpp"
 #include "engine/cluster.hpp"
 #include "engine/config.hpp"
@@ -49,10 +50,8 @@ TreeAggSpec<std::int64_t, Vec> sum_spec(int dim) {
       u[static_cast<std::size_t>(i)] += row * (i + 1);
     }
   };
-  spec.comb_op = [](Vec& a, const Vec& b) {
-    for (std::size_t i = 0; i < a.size(); ++i) a[i] += b[i];
-  };
-  spec.bytes = [](const Vec& v) { return v.size() * sizeof(std::int64_t); };
+  spec.comb_op = bench::vec_sai::add;
+  spec.bytes = bench::vec_sai::bytes();
   spec.partition_cost = [](int, const std::vector<std::int64_t>& rows) {
     return sim::microseconds(rows.size());
   };
@@ -62,22 +61,7 @@ TreeAggSpec<std::int64_t, Vec> sum_spec(int dim) {
 SplitAggSpec<std::int64_t, Vec, Vec> split_sum_spec(int dim) {
   SplitAggSpec<std::int64_t, Vec, Vec> spec;
   spec.base = sum_spec(dim);
-  spec.split_op = [](const Vec& u, int seg, int nseg) {
-    const int len = static_cast<int>(u.size());
-    const int base = len / nseg, rem = len % nseg;
-    const int lo = seg * base + std::min(seg, rem);
-    const int hi = lo + base + (seg < rem ? 1 : 0);
-    return Vec(u.begin() + lo, u.begin() + hi);
-  };
-  spec.reduce_op = [](Vec& a, const Vec& b) {
-    for (std::size_t i = 0; i < a.size(); ++i) a[i] += b[i];
-  };
-  spec.concat_op = [](std::vector<std::pair<int, Vec>>& segs) {
-    Vec out;
-    for (auto& [idx, v] : segs) out.insert(out.end(), v.begin(), v.end());
-    return out;
-  };
-  spec.v_bytes = [](const Vec& v) { return v.size() * sizeof(std::int64_t); };
+  bench::vec_sai::set_callbacks(spec);
   return spec;
 }
 
@@ -549,37 +533,77 @@ SplitAggSpec<std::int64_t, CountedVec, Vec> counted_split_spec(int dim) {
   return spec;
 }
 
+// Runs one CountedVec job on a cluster whose cores are all busy at once
+// (200 ms tasks against 4 ms dispatches), with a straggler and the
+// speculation monitor when `speculation` is set: tree_aggregate under kTree
+// or kTreeImm, else split_aggregate (or split_allreduce). Checks the result
+// and that every aggregator is released; returns how far the live count
+// peaked above its value before the job.
+int counted_job_peak(AggMode mode, bool speculation, AggMetrics& m,
+                     bool allreduce = false) {
+  Simulator sim;
+  net::ClusterSpec s = small_spec();
+  s.cores_per_executor = 4;
+  Cluster cl(sim, s);
+  cl.config().agg_mode = mode;
+  cl.config().sai_parallelism = 2;
+  if (speculation) {
+    cl.config().stragglers.slowdown[3] = 8.0;
+    cl.config().health.speculation = true;
+    cl.config().health.speculation_interval = sim::milliseconds(5);
+  }
+  const int parts = cl.num_executors() * 8;
+  CachedRdd<std::int64_t> rdd(parts, cl.num_executors(), row_gen(200));
+  const Vec want = sequential_reference(rdd, sum_spec(33));
+  auto spec = counted_split_spec(33);
+  const int baseline = CountedVec::live;
+  CountedVec::peak = baseline;
+  auto job = [&]() -> Task<Vec> {
+    if (mode != AggMode::kSplit) {
+      co_return (co_await tree_aggregate(cl, rdd, spec.base, &m)).v;
+    }
+    if (allreduce) co_return co_await split_allreduce(cl, rdd, spec, &m);
+    co_return co_await split_aggregate(cl, rdd, spec, &m);
+  };
+  EXPECT_EQ(sim.run_task(job()), want);
+  EXPECT_EQ(CountedVec::live, baseline);
+  return CountedVec::peak - baseline;
+}
+
 TEST(AggregatorLifetimes, ImmStageHoldsAtMostTwoAggregatorsPerExecutor) {
   for (const bool speculation : {false, true}) {
     SCOPED_TRACE(speculation ? "speculation on" : "speculation off");
-    Simulator sim;
-    net::ClusterSpec s = small_spec();
-    s.cores_per_executor = 4;
-    Cluster cl(sim, s);
-    cl.config().agg_mode = AggMode::kSplit;
-    cl.config().sai_parallelism = 2;
-    if (speculation) {
-      cl.config().stragglers.slowdown[3] = 8.0;
-      cl.config().health.speculation = true;
-      cl.config().health.speculation_interval = sim::milliseconds(5);
-    }
-    // 200 ms tasks against 4 ms dispatches: every core is busy at once.
-    const int parts = cl.num_executors() * 8;
-    CachedRdd<std::int64_t> rdd(parts, cl.num_executors(), row_gen(200));
-    const Vec want = sequential_reference(rdd, sum_spec(33));
-    auto spec = counted_split_spec(33);
-    const int baseline = CountedVec::live;
-    CountedVec::peak = baseline;
     AggMetrics m;
-    auto job = [&]() -> Task<Vec> {
-      co_return co_await split_aggregate(cl, rdd, spec, &m);
-    };
-    EXPECT_EQ(sim.run_task(job()), want);
+    const int peak = counted_job_peak(AggMode::kSplit, speculation, m);
     if (speculation) {
       EXPECT_GE(m.speculative_launches, 1);
     }
-    EXPECT_LE(CountedVec::peak - baseline, 2 * cl.num_executors());
-    EXPECT_EQ(CountedVec::live, baseline);
+    EXPECT_LE(peak, 2 * 4);  // two per executor, 4 executors.
+  }
+}
+
+// The other entry points, pinned to the peaks measured before the engine
+// was type-erased, so an erased path that retains an extra copy fails. A
+// plain tree stage ships one result per partition (32) before combining.
+TEST(AggregatorLifetimes, TreeAggregateHoldsNoMoreThanBeforeErasure) {
+  for (const bool speculation : {false, true}) {
+    SCOPED_TRACE(speculation ? "speculation on" : "speculation off");
+    for (const AggMode mode : {AggMode::kTree, AggMode::kTreeImm}) {
+      SCOPED_TRACE(to_string(mode));
+      AggMetrics m;
+      const int before = mode == AggMode::kTree ? 35 : speculation ? 5 : 6;
+      EXPECT_LE(counted_job_peak(mode, speculation, m), before);
+    }
+  }
+}
+
+TEST(AggregatorLifetimes, SplitAllreduceHoldsNoMoreThanBeforeErasure) {
+  for (const bool speculation : {false, true}) {
+    SCOPED_TRACE(speculation ? "speculation on" : "speculation off");
+    AggMetrics m;
+    EXPECT_LE(counted_job_peak(AggMode::kSplit, speculation, m,
+                               /*allreduce=*/true),
+              speculation ? 4 : 5);
   }
 }
 
@@ -843,6 +867,26 @@ TEST(ConfigValidation, RejectsMaxTaskAttemptsBelowOne) {
 TEST(ConfigValidation, RejectsMaxStageAttemptsBelowOne) {
   expect_job_rejects([](EngineConfig& c) { c.max_stage_attempts = 0; },
                      "max_stage_attempts");
+}
+
+TEST(ConfigValidation, RejectsZeroSpeculationInterval) {
+  expect_job_rejects(
+      [](EngineConfig& c) { c.health.speculation_interval = 0; },
+      "speculation_interval");
+}
+
+TEST(ConfigValidation, RejectsZeroHeartbeatInterval) {
+  expect_job_rejects([](EngineConfig& c) { c.health.heartbeat_interval = 0; },
+                     "heartbeat_interval");
+}
+
+TEST(ConfigValidation, RejectsHeartbeatTimeoutNotBelowExecutorTimeout) {
+  expect_job_rejects(
+      [](EngineConfig& c) {
+        c.health.heartbeat_timeout = sim::milliseconds(900);
+        c.health.executor_timeout = sim::milliseconds(800);
+      },
+      "heartbeat_timeout");
 }
 
 }  // namespace

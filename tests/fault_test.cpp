@@ -19,6 +19,7 @@
 #include <numeric>
 #include <vector>
 
+#include "bench_util/vec_sai.hpp"
 #include "comm/collectives.hpp"
 #include "comm/communicator.hpp"
 #include "comm/registry.hpp"
@@ -81,30 +82,18 @@ Vec expected_sum(int n, int len) {
   return v;
 }
 
-std::pair<int, int> slice_bounds(int len, int seg, int nseg) {
-  const int base = len / nseg;
-  const int rem = len % nseg;
-  const int lo = seg * base + std::min(seg, rem);
-  const int hi = lo + base + (seg < rem ? 1 : 0);
-  return {lo, hi};
-}
-
 comm::SegOps<Vec> vec_ops(const Vec& local, int len) {
   comm::SegOps<Vec> ops;
   ops.split = [&local, len](int seg, int nseg) {
-    auto [lo, hi] = slice_bounds(len, seg, nseg);
+    auto [lo, hi] = bench::vec_sai::bounds(len, seg, nseg);
     return Vec(local.begin() + lo, local.begin() + hi);
   };
   ops.reduce_into = [](Vec& dst, const Vec& src) {
     ASSERT_EQ(dst.size(), src.size());
     for (std::size_t i = 0; i < dst.size(); ++i) dst[i] += src[i];
   };
-  ops.bytes = [](const Vec& v) { return v.size() * sizeof(std::int64_t); };
-  ops.concat = [](std::vector<comm::Seg<Vec>>& segs) {
-    Vec out;
-    for (auto& [idx, v] : segs) out.insert(out.end(), v.begin(), v.end());
-    return out;
-  };
+  ops.bytes = bench::vec_sai::bytes();
+  ops.concat = bench::vec_sai::concat;
   return ops;
 }
 
@@ -192,7 +181,7 @@ Outcome run_collective(Coll coll, int n, int p, int len,
       int seen = 0;
       for (auto& per_rank : seg_results) {
         for (auto& [seg, v] : per_rank) {
-          auto [lo, hi] = slice_bounds(len, seg, nseg);
+          auto [lo, hi] = bench::vec_sai::bounds(len, seg, nseg);
           EXPECT_EQ(static_cast<int>(v.size()), hi - lo);
           for (int i = lo; i < hi; ++i) {
             assembled[static_cast<std::size_t>(i)] =
@@ -353,7 +342,7 @@ std::pair<Duration, Vec> ring_once(World& w, int n, int p, int len) {
   Vec assembled(static_cast<std::size_t>(len), 0);
   for (auto& per_rank : seg_results) {
     for (auto& [seg, v] : per_rank) {
-      auto [lo, hi] = slice_bounds(len, seg, p * n);
+      auto [lo, hi] = bench::vec_sai::bounds(len, seg, p * n);
       for (int i = lo; i < hi; ++i) {
         assembled[static_cast<std::size_t>(i)] =
             v[static_cast<std::size_t>(i - lo)];
@@ -455,30 +444,12 @@ e::SplitAggSpec<std::int64_t, Vec, Vec> big_split_spec(int dim,
       u[static_cast<std::size_t>(i)] += row * (i + 1);
     }
   };
-  spec.base.comb_op = [](Vec& a, const Vec& b) {
-    for (std::size_t i = 0; i < a.size(); ++i) a[i] += b[i];
-  };
-  spec.base.bytes = [scale](const Vec& v) {
-    return static_cast<std::uint64_t>(v.size() * sizeof(std::int64_t)) * scale;
-  };
+  spec.base.comb_op = bench::vec_sai::add;
+  spec.base.bytes = bench::vec_sai::bytes(scale);
   spec.base.partition_cost = [](int, const std::vector<std::int64_t>& rows) {
     return sim::milliseconds(rows.size());
   };
-  spec.split_op = [](const Vec& u, int seg, int nseg) {
-    auto [lo, hi] = slice_bounds(static_cast<int>(u.size()), seg, nseg);
-    return Vec(u.begin() + lo, u.begin() + hi);
-  };
-  spec.reduce_op = [](Vec& a, const Vec& b) {
-    for (std::size_t i = 0; i < a.size(); ++i) a[i] += b[i];
-  };
-  spec.concat_op = [](std::vector<std::pair<int, Vec>>& segs) {
-    Vec out;
-    for (auto& [idx, v] : segs) out.insert(out.end(), v.begin(), v.end());
-    return out;
-  };
-  spec.v_bytes = [scale](const Vec& v) {
-    return static_cast<std::uint64_t>(v.size() * sizeof(std::int64_t)) * scale;
-  };
+  bench::vec_sai::set_callbacks(spec);
   return spec;
 }
 

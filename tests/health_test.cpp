@@ -22,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_util/vec_sai.hpp"
 #include "engine/aggregate.hpp"
 #include "engine/cluster.hpp"
 #include "engine/config.hpp"
@@ -150,14 +151,6 @@ net::ClusterSpec health_spec(int nodes) {
   return s;
 }
 
-std::pair<int, int> slice_bounds(int len, int seg, int nseg) {
-  const int base = len / nseg;
-  const int rem = len % nseg;
-  const int lo = seg * base + std::min(seg, rem);
-  const int hi = lo + base + (seg < rem ? 1 : 0);
-  return {lo, hi};
-}
-
 // Same shape as the fault tests' spec: dim real elements modeling `scale`x
 // their wire size, partition cost 1ms per row so stragglers are visible.
 e::SplitAggSpec<std::int64_t, Vec, Vec> health_split_spec(
@@ -169,30 +162,12 @@ e::SplitAggSpec<std::int64_t, Vec, Vec> health_split_spec(
       u[static_cast<std::size_t>(i)] += row * (i + 1);
     }
   };
-  spec.base.comb_op = [](Vec& a, const Vec& b) {
-    for (std::size_t i = 0; i < a.size(); ++i) a[i] += b[i];
-  };
-  spec.base.bytes = [scale](const Vec& v) {
-    return static_cast<std::uint64_t>(v.size() * sizeof(std::int64_t)) * scale;
-  };
+  spec.base.comb_op = bench::vec_sai::add;
+  spec.base.bytes = bench::vec_sai::bytes(scale);
   spec.base.partition_cost = [](int, const std::vector<std::int64_t>& rows) {
     return sim::milliseconds(rows.size());
   };
-  spec.split_op = [](const Vec& u, int seg, int nseg) {
-    auto [lo, hi] = slice_bounds(static_cast<int>(u.size()), seg, nseg);
-    return Vec(u.begin() + lo, u.begin() + hi);
-  };
-  spec.reduce_op = [](Vec& a, const Vec& b) {
-    for (std::size_t i = 0; i < a.size(); ++i) a[i] += b[i];
-  };
-  spec.concat_op = [](std::vector<std::pair<int, Vec>>& segs) {
-    Vec out;
-    for (auto& [idx, v] : segs) out.insert(out.end(), v.begin(), v.end());
-    return out;
-  };
-  spec.v_bytes = [scale](const Vec& v) {
-    return static_cast<std::uint64_t>(v.size() * sizeof(std::int64_t)) * scale;
-  };
+  bench::vec_sai::set_callbacks(spec);
   return spec;
 }
 

@@ -7,6 +7,7 @@
 
 #include <string>
 
+#include "bench_util/vec_sai.hpp"
 #include "engine/aggregate.hpp"
 #include "engine/cluster.hpp"
 #include "ml/workload.hpp"
@@ -100,27 +101,12 @@ TEST(FaultStorm, RandomFailuresDoNotCorruptResults) {
         u[i] += r * static_cast<std::int64_t>(i + 1);
       }
     };
-    spec.comb_op = [](Vec& a, const Vec& b) {
-      for (std::size_t i = 0; i < a.size(); ++i) a[i] += b[i];
-    };
+    spec.comb_op = bench::vec_sai::add;
     spec.bytes = [](const Vec& v) { return v.size() * 8; };
     if (mode == engine::AggMode::kSplit) {
       engine::SplitAggSpec<std::int64_t, Vec, Vec> sspec;
       sspec.base = spec;
-      sspec.split_op = [](const Vec& u, int seg, int nseg) {
-        const int len = static_cast<int>(u.size());
-        const int base = len / nseg, rem = len % nseg;
-        const int lo = seg * base + std::min(seg, rem);
-        return Vec(u.begin() + lo,
-                   u.begin() + lo + base + (seg < rem ? 1 : 0));
-      };
-      sspec.reduce_op = spec.comb_op;
-      sspec.concat_op = [](std::vector<std::pair<int, Vec>>& segs) {
-        Vec out;
-        for (auto& [i, v] : segs) out.insert(out.end(), v.begin(), v.end());
-        return out;
-      };
-      sspec.v_bytes = spec.bytes;
+      bench::vec_sai::set_callbacks(sspec);
       auto job = [&]() -> Task<Vec> {
         co_return co_await engine::split_aggregate(cl, rdd, sspec);
       };

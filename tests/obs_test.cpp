@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util/vec_sai.hpp"
 #include "engine/aggregate.hpp"
 #include "engine/cluster.hpp"
 #include "engine/config.hpp"
@@ -161,55 +162,6 @@ TEST(Metrics, RegistryAndDeterministicJson) {
   EXPECT_EQ(r1.counters().size(), 0u);
 }
 
-TEST(Metrics, PrometheusExpositionGoldenFormat) {
-  obs::MetricsRegistry reg;
-  reg.add("agg.jobs", 7);
-  reg.set_gauge("health.alive", 48);
-  // Samples 0, 1, 5, 1000: log2 buckets 0, 1, 3 and 10 -> cumulative `le`
-  // bounds 0, 1, 7 and 1023.
-  obs::Histogram& h = reg.histogram("rpc.latency_ns");
-  h.observe(0);
-  h.observe(1);
-  h.observe(5);
-  h.observe(1000);
-  const std::string expected =
-      "# TYPE agg_jobs counter\n"
-      "agg_jobs 7\n"
-      "# TYPE health_alive gauge\n"
-      "health_alive 48\n"
-      "# TYPE rpc_latency_ns histogram\n"
-      "rpc_latency_ns_bucket{le=\"0\"} 1\n"
-      "rpc_latency_ns_bucket{le=\"1\"} 2\n"
-      "rpc_latency_ns_bucket{le=\"3\"} 2\n"
-      "rpc_latency_ns_bucket{le=\"7\"} 3\n"
-      "rpc_latency_ns_bucket{le=\"15\"} 3\n"
-      "rpc_latency_ns_bucket{le=\"31\"} 3\n"
-      "rpc_latency_ns_bucket{le=\"63\"} 3\n"
-      "rpc_latency_ns_bucket{le=\"127\"} 3\n"
-      "rpc_latency_ns_bucket{le=\"255\"} 3\n"
-      "rpc_latency_ns_bucket{le=\"511\"} 3\n"
-      "rpc_latency_ns_bucket{le=\"1023\"} 4\n"
-      "rpc_latency_ns_bucket{le=\"+Inf\"} 4\n"
-      "rpc_latency_ns_sum 1006\n"
-      "rpc_latency_ns_count 4\n";
-  EXPECT_EQ(reg.to_prometheus(), expected);
-  // Deterministic across identically-filled registries.
-  obs::MetricsRegistry reg2;
-  reg2.add("agg.jobs", 7);
-  reg2.set_gauge("health.alive", 48);
-  obs::Histogram& h2 = reg2.histogram("rpc.latency_ns");
-  h2.observe(0);
-  h2.observe(1);
-  h2.observe(5);
-  h2.observe(1000);
-  EXPECT_EQ(reg.to_prometheus(), reg2.to_prometheus());
-  // Name sanitation: leading digit gets a prefix, odd characters map to _.
-  obs::MetricsRegistry reg3;
-  reg3.add("0bad name-with.dots", 1);
-  const std::string p3 = reg3.to_prometheus();
-  EXPECT_NE(p3.find("_0bad_name_with_dots 1"), std::string::npos);
-}
-
 // ===========================================================================
 // File lint verdicts (lint_chrome_trace_text)
 // ===========================================================================
@@ -308,31 +260,12 @@ engine::SplitAggSpec<std::int64_t, Vec, Vec> split_spec() {
   spec.base.seq_op = [](Vec& u, const std::int64_t& row) {
     for (int i = 0; i < kDim; ++i) u[static_cast<std::size_t>(i)] += row + i;
   };
-  spec.base.comb_op = [](Vec& a, const Vec& b) {
-    for (std::size_t i = 0; i < a.size(); ++i) a[i] += b[i];
-  };
-  spec.base.bytes = [](const Vec& v) {
-    return static_cast<std::uint64_t>(v.size() * sizeof(std::int64_t)) *
-           kScale;
-  };
+  spec.base.comb_op = bench::vec_sai::add;
+  spec.base.bytes = bench::vec_sai::bytes(kScale);
   spec.base.partition_cost = [](int, const std::vector<std::int64_t>& rows) {
     return sim::milliseconds(rows.size());
   };
-  spec.split_op = [](const Vec& u, int seg, int nseg) {
-    const int len = static_cast<int>(u.size());
-    const int base = len / nseg, rem = len % nseg;
-    const int lo = seg * base + std::min(seg, rem);
-    return Vec(u.begin() + lo, u.begin() + lo + base + (seg < rem ? 1 : 0));
-  };
-  spec.reduce_op = [](Vec& a, const Vec& b) {
-    for (std::size_t i = 0; i < a.size(); ++i) a[i] += b[i];
-  };
-  spec.concat_op = [](std::vector<std::pair<int, Vec>>& segs) {
-    Vec out;
-    for (auto& [idx, v] : segs) out.insert(out.end(), v.begin(), v.end());
-    return out;
-  };
-  spec.v_bytes = spec.base.bytes;
+  bench::vec_sai::set_callbacks(spec);
   return spec;
 }
 

@@ -15,6 +15,7 @@
 #include <memory>
 #include <vector>
 
+#include "bench_util/vec_sai.hpp"
 #include "comm/registry.hpp"
 #include "comp/sparse.hpp"
 #include "engine/aggregate.hpp"
@@ -141,9 +142,7 @@ TreeAggSpec<std::int64_t, Vec> sum_spec(int dim, int stride = 1) {
       u[static_cast<std::size_t>(i)] += row * (i + 1);
     }
   };
-  spec.comb_op = [](Vec& a, const Vec& b) {
-    for (std::size_t i = 0; i < a.size(); ++i) a[i] += b[i];
-  };
+  spec.comb_op = bench::vec_sai::add;
   spec.bytes = [](const Vec& v) { return v.size() * sizeof(std::int64_t); };
   spec.partition_cost = [](int, const std::vector<std::int64_t>& rows) {
     return sim::microseconds(rows.size());
@@ -154,22 +153,7 @@ TreeAggSpec<std::int64_t, Vec> sum_spec(int dim, int stride = 1) {
 SplitAggSpec<std::int64_t, Vec, Vec> split_sum_spec(int dim, int stride = 1) {
   SplitAggSpec<std::int64_t, Vec, Vec> spec;
   spec.base = sum_spec(dim, stride);
-  spec.split_op = [](const Vec& u, int seg, int nseg) {
-    const int len = static_cast<int>(u.size());
-    const int base = len / nseg, rem = len % nseg;
-    const int lo = seg * base + std::min(seg, rem);
-    const int hi = lo + base + (seg < rem ? 1 : 0);
-    return Vec(u.begin() + lo, u.begin() + hi);
-  };
-  spec.reduce_op = [](Vec& a, const Vec& b) {
-    for (std::size_t i = 0; i < a.size(); ++i) a[i] += b[i];
-  };
-  spec.concat_op = [](std::vector<std::pair<int, Vec>>& segs) {
-    Vec out;
-    for (auto& [idx, v] : segs) out.insert(out.end(), v.begin(), v.end());
-    return out;
-  };
-  spec.v_bytes = [](const Vec& v) { return v.size() * sizeof(std::int64_t); };
+  bench::vec_sai::set_callbacks(spec);
   return spec;
 }
 
@@ -180,11 +164,7 @@ SplitAggSpec<std::int64_t, Vec, AVec> sparse_split_spec(int dim, int stride) {
   SplitAggSpec<std::int64_t, Vec, AVec> spec;
   spec.base = sum_spec(dim, stride);
   spec.split_op = [](const Vec& u, int seg, int nseg) {
-    const int len = static_cast<int>(u.size());
-    const int base = len / nseg, rem = len % nseg;
-    const int lo = seg * base + std::min(seg, rem);
-    const int hi = lo + base + (seg < rem ? 1 : 0);
-    return AVec::dense(Vec(u.begin() + lo, u.begin() + hi));
+    return AVec::dense(bench::vec_sai::split(u, seg, nseg));
   };
   spec.reduce_op = [](AVec& a, const AVec& b) { a.add(b); };
   spec.concat_op = [](std::vector<std::pair<int, AVec>>& segs) {

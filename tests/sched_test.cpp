@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util/vec_sai.hpp"
 #include "comm/registry.hpp"
 #include "engine/aggregate.hpp"
 #include "engine/cluster.hpp"
@@ -60,32 +61,12 @@ e::SplitAggSpec<std::int64_t, Vec, Vec> mt_agg_spec() {
       u[static_cast<std::size_t>(i)] += row * (i + 1);
     }
   };
-  spec.base.comb_op = [](Vec& a, const Vec& b) {
-    for (std::size_t i = 0; i < a.size(); ++i) a[i] += b[i];
-  };
-  spec.base.bytes = [](const Vec& v) {
-    return static_cast<std::uint64_t>(v.size() * sizeof(std::int64_t)) *
-           kScale;
-  };
+  spec.base.comb_op = bench::vec_sai::add;
+  spec.base.bytes = bench::vec_sai::bytes(kScale);
   spec.base.partition_cost = [](int, const std::vector<std::int64_t>& rows) {
     return sim::milliseconds(static_cast<std::int64_t>(rows.size()));
   };
-  spec.split_op = [](const Vec& u, int seg, int nseg) {
-    const int len = static_cast<int>(u.size());
-    const int base = len / nseg, rem = len % nseg;
-    const int lo = seg * base + std::min(seg, rem);
-    const int hi = lo + base + (seg < rem ? 1 : 0);
-    return Vec(u.begin() + lo, u.begin() + hi);
-  };
-  spec.reduce_op = [](Vec& a, const Vec& b) {
-    for (std::size_t i = 0; i < a.size(); ++i) a[i] += b[i];
-  };
-  spec.concat_op = [](std::vector<std::pair<int, Vec>>& segs) {
-    Vec out;
-    for (auto& [idx, v] : segs) out.insert(out.end(), v.begin(), v.end());
-    return out;
-  };
-  spec.v_bytes = spec.base.bytes;
+  bench::vec_sai::set_callbacks(spec);
   return spec;
 }
 
