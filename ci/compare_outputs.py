@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Byte-identity check between two build trees of this repository.
 
-Usage: ci/compare_outputs.py <build-a> <build-b>
+Usage: ci/compare_outputs.py [--expect-diff PROG]... <build-a> <build-b>
 
 Runs every fig*/ablation_* bench and the quickstart, logistic_regression,
 lda_topics and reduce_scatter_playground examples from both build trees,
@@ -14,12 +14,19 @@ run left behind: BENCH_*.json reports with the host-speed fields
 (events_per_sec, sim_wall_s, wall_per_sim_sec) removed, everything else
 (traces included) byte for byte. Exits 1 on any difference, 0 otherwise.
 
+A change that is meant to move some outputs names each such program with
+`--expect-diff`, as printed in the report (e.g. `bench/ablation_speculation`;
+the flag repeats). A named program must then differ between the trees, and
+still exit 0 in both; every other run must stay byte-identical. Naming a
+program that is not compared is a usage error (exit 2).
+
 Typical use is a refactor that must not change behaviour: build the parent
 commit into one tree and the change into another (same build type), then
 compare them. Each pair of runs executes concurrently, so expect roughly the
 wall time of one full bench-suite pass.
 """
 
+import argparse
 import concurrent.futures
 import difflib
 import json
@@ -133,11 +140,22 @@ def compare(ra, rb):
 
 
 def main(argv):
-    if len(argv) != 3:
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
-        return 2
-    build_a, build_b = argv[1], argv[2]
+    ap = argparse.ArgumentParser(
+        description=__doc__.strip().splitlines()[0])
+    ap.add_argument("build_a")
+    ap.add_argument("build_b")
+    ap.add_argument("--expect-diff", action="append", default=[],
+                    metavar="PROG",
+                    help="a program whose outputs must differ (repeatable)")
+    args = ap.parse_args(argv[1:])
+    build_a, build_b = args.build_a, args.build_b
     progs = programs(build_a)
+    expected = set(args.expect_diff)
+    unknown = expected - {p for p, _ in progs}
+    if unknown:
+        print("--expect-diff names no compared program: " +
+              ", ".join(sorted(unknown)), file=sys.stderr)
+        return 2
     missing = [p for p, _ in progs
                for b in (build_a, build_b)
                if not os.access(os.path.join(b, p), os.X_OK)]
@@ -159,19 +177,29 @@ def main(argv):
                 ra, rb = fa.result(), fb.result()
                 problems = compare(ra, rb)
                 note = " (traced)" if trace else ""
-                if ra["exit"] != 0 or rb["exit"] != 0:
+                nonzero = ra["exit"] != 0 or rb["exit"] != 0
+                if nonzero:
                     problems.append(
                         f"  nonzero exit: {ra['exit']} / {rb['exit']}")
-                if problems:
+                if prog in expected and problems and not nonzero:
+                    print(f"diff {prog}{note}: differs, as expected")
+                    print("\n".join(problems))
+                elif problems:
                     failed += 1
                     print(f"FAIL {prog}{note}")
                     print("\n".join(problems))
+                elif prog in expected:
+                    failed += 1
+                    print(f"FAIL {prog}{note}: identical, but expected "
+                          "to differ")
                 else:
                     nfiles = len(ra["files"])
                     print(f"same {prog}{note}: stdout, stderr and "
                           f"{nfiles} file(s)")
                 sys.stdout.flush()
-    print(f"{len(progs) - failed}/{len(progs)} runs identical")
+    outcome = (f"as expected ({len(expected)} expected to differ)"
+               if expected else "identical")
+    print(f"{len(progs) - failed}/{len(progs)} runs {outcome}")
     return 1 if failed else 0
 
 

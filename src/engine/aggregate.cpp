@@ -207,6 +207,16 @@ sim::Task<sim::SemaphoreGuard> launch_task(Cluster& cl, int exec) {
   co_return std::move(slot);
 }
 
+/// The modeled compute time of partition `pid` on executor `exec`.
+Duration modeled_cost(Cluster& cl, const ErasedSpec& spec, int pid,
+                      int exec) {
+  const Duration cost = spec.partition_cost ? spec.partition_cost(pid)
+                                            : Duration{0};
+  return static_cast<Duration>(static_cast<double>(cost) *
+                               cl.config().stragglers.factor(exec) /
+                               cl.spec().rates.core_speed);
+}
+
 /// One modeled task attempt: launch_task, then the partition's modeled
 /// compute time. It models time and faults only — the real seqOp fold is
 /// `spec.fold`, which each consumer runs where it needs the value. Throws
@@ -214,40 +224,36 @@ sim::Task<sim::SemaphoreGuard> launch_task(Cluster& cl, int exec) {
 /// executor before the task result is reported (that check is deliberately
 /// omniscient: a lost result is a physical fact, not a belief). If `ran_on`
 /// is non-null it receives the executor the task runs on as soon as it is
-/// scheduled; `force_exec >= 0` pins the attempt to one executor
-/// (speculative duplicates bypass locality preference).
+/// scheduled, and `started` (if non-null) the time it got its core slot;
+/// `force_exec >= 0` pins the attempt to one executor (speculative
+/// duplicates bypass locality preference).
 sim::Task<void> compute_attempt(Cluster& cl, const ErasedSpec& spec,
                                 TaskId id, int* ran_on = nullptr,
-                                int force_exec = -1) {
+                                int force_exec = -1, Time* started = nullptr) {
   const int exec_id =
       force_exec >= 0
           ? force_exec
           : schedule_executor(cl, spec.preferred_executor(id.task));
   if (ran_on) *ran_on = exec_id;
-  obs::TraceSink& tr = cl.trace();
   const Time attempt_start = cl.simulator().now();
-  const obs::SpanId span =
-      tr.begin("compute", "task", obs::exec_pid(exec_id), id.task,
-               {{"job", id.job},
-                {"stage", id.stage},
-                {"task", id.task},
-                {"attempt", id.attempt}});
+  const obs::SpanId span = cl.trace().begin(
+      "compute", "task", obs::exec_pid(exec_id), id.task,
+      {{"job", id.job},
+       {"stage", id.stage},
+       {"task", id.task},
+       {"attempt", id.attempt}});
   const sim::SemaphoreGuard slot = co_await launch_task(cl, exec_id);
-  Duration cost = spec.partition_cost ? spec.partition_cost(id.task)
-                                      : Duration{0};
-  cost = static_cast<Duration>(static_cast<double>(cost) *
-                               cl.config().stragglers.factor(exec_id) /
-                               cl.spec().rates.core_speed);
-  co_await cl.simulator().sleep(cost);
+  if (started) *started = cl.simulator().now();
+  co_await cl.simulator().sleep(modeled_cost(cl, spec, id.task, exec_id));
   // Fault-plan failure, or the executor died while this task was running
   // (that check is omniscient: a lost result is a physical fact).
   if (cl.config().faults.fails(id) || !cl.executor_alive(exec_id)) {
-    tr.end(span, {{"failed", 1}});
+    cl.trace().end(span, {{"failed", 1}});
     throw TaskFailed{};
   }
   cl.metrics().histogram("task.duration_ns")
       .observe(static_cast<std::int64_t>(cl.simulator().now() - attempt_start));
-  tr.end(span);
+  cl.trace().end(span);
 }
 
 /// Shared state of one stage's speculation races, shared_ptr-owned because
@@ -258,13 +264,14 @@ sim::Task<void> compute_attempt(Cluster& cl, const ErasedSpec& spec,
 /// task wins it; everyone else drops out.
 struct SpecRace {
   struct TaskState {
-    Time launched = 0;      ///< when the stage spawned the primary.
-    bool done = false;      ///< some attempt claimed this task.
+    /// When the primary got its core slot; kTimeNever until it has one.
+    Time launched = sim::kTimeNever;
+    bool done = false;        ///< some attempt claimed this task.
     bool speculated = false;  ///< a duplicate was launched.
-    int primary_exec = -1;  ///< executor the primary attempt landed on.
+    int primary_exec = -1;    ///< executor the primary attempt landed on.
   };
   std::vector<TaskState> tasks;
-  std::vector<Duration> durations;  ///< winners' durations (for the median).
+  std::vector<Duration> durations;  ///< winners' run times (for the median).
   sim::Simulator::TimerHandle tick{};  ///< armed lazily by the first tick.
 
   explicit SpecRace(int p) : tasks(static_cast<std::size_t>(p)) {}
@@ -285,12 +292,32 @@ struct SpecRace {
   }
 };
 
+/// Where a duplicate of a task whose primary runs on `primary` may go, as
+/// Spark offers speculative copies only to free cores: the first executor
+/// after the primary (ids upward, wrapping) that takes tasks, is healthy,
+/// and has a free core slot not already `claimed` by a duplicate launched
+/// in the same tick. -1 when no core is free.
+int speculation_target(Cluster& cl, int primary,
+                       const std::vector<std::int64_t>& claimed) {
+  const int n = cl.num_executors();
+  for (int i = 1; i < n; ++i) {
+    const int e = (primary + i) % n;
+    if (cl.executor_usable(e) && cl.health().healthy(e) &&
+        cl.executor(e).cores().available() >
+            claimed[static_cast<std::size_t>(e)]) {
+      return e;
+    }
+  }
+  return -1;
+}
+
 /// Arms the stage's speculation monitor: every `speculation_interval` it
-/// looks for tasks running longer than `speculation_multiplier` x the
-/// running median of completed durations (once `speculation_quantile` of
-/// the stage has completed) and calls `launch(task, target)` with the first
-/// *healthy* executor other than the primary's, in a deterministic scan.
-/// `launch` may capture stage-frame state: the tick must be cancelled
+/// looks for started tasks whose primary has run longer than
+/// `speculation_multiplier` x the running median of completed run times
+/// (once `speculation_quantile` of the stage has completed) and calls
+/// `launch(task, target)` with a free core from `speculation_target`; a
+/// task with no free core waits for a later tick. `launch` may capture
+/// stage-frame state: the tick must be cancelled
 /// (`cl.simulator().cancel(race->tick)`) before the stage frame exits, and
 /// cancelled events never run (their closures are reclaimed eagerly).
 void arm_speculation_tick(
@@ -309,19 +336,18 @@ void arm_speculation_tick(
               h.speculation_multiplier *
               static_cast<double>(race->running_median()));
           const Time now = cl.simulator().now();
+          std::vector<std::int64_t> claimed(
+              static_cast<std::size_t>(cl.num_executors()), 0);
           for (int t = 0; t < p; ++t) {
             SpecRace::TaskState& ts =
                 race->tasks[static_cast<std::size_t>(t)];
-            if (ts.done || ts.speculated || ts.primary_exec < 0) continue;
-            if (now - ts.launched <= threshold) continue;
-            int target = -1;
-            for (int e = 0; e < cl.num_executors(); ++e) {
-              if (e != ts.primary_exec && cl.health().healthy(e)) {
-                target = e;
-                break;
-              }
+            if (ts.done || ts.speculated || ts.launched == sim::kTimeNever) {
+              continue;
             }
-            if (target < 0) continue;  // nowhere healthy to duplicate onto.
+            if (now - ts.launched <= threshold) continue;
+            const int target = speculation_target(cl, ts.primary_exec, claimed);
+            if (target < 0) continue;
+            ++claimed[static_cast<std::size_t>(target)];
             ts.speculated = true;
             cl.trace().instant(
                 "compute", "spec.launch", obs::exec_pid(target), t,
@@ -401,14 +427,21 @@ sim::Task<void> race_attempt(Cluster& cl, const ErasedSpec& spec, int job,
     st.wg.done();
   };
   int exec = -1;
+  Time started = sim::kTimeNever;
   for (int retry = 0;; ++retry) {
     try {
       const int attempt =
           (speculative ? kSpeculativeAttempt : 0) + stage_attempt + retry;
+      // A retried primary is unstarted again until it gets a new slot.
+      if (!speculative) ts.launched = sim::kTimeNever;
       co_await compute_attempt(cl, spec, TaskId{job, 0, task, attempt},
                                speculative ? &exec : &ts.primary_exec,
-                               force_exec);
-      if (!speculative) exec = ts.primary_exec;
+                               force_exec,
+                               speculative ? &started : &ts.launched);
+      if (!speculative) {
+        exec = ts.primary_exec;
+        started = ts.launched;
+      }
       break;
     } catch (const TaskFailed&) {
       // A failed duplicate, or a primary whose duplicate already won, just
@@ -438,7 +471,7 @@ sim::Task<void> race_attempt(Cluster& cl, const ErasedSpec& spec, int job,
     attempts.done();
     co_return;  // lost the race: never fold.
   }
-  race->durations.push_back(cl.simulator().now() - ts.launched);
+  race->durations.push_back(cl.simulator().now() - started);
   if (speculative) {
     ++m->speculative_wins;
     cl.trace().instant("compute", "spec.win", obs::exec_pid(exec), task,
@@ -477,7 +510,7 @@ sim::Task<void> race_attempt(Cluster& cl, const ErasedSpec& spec, int job,
 
 /// Runs one attempt of a compute stage: every task is a race (see
 /// race_attempt). With `health.speculation` on, the monitor tick may launch
-/// one duplicate of a straggling task on a healthy executor; without it no
+/// one duplicate of a straggling task on a free core; without it no
 /// tick is armed, and each race has a single entrant. `attempts` counts
 /// every attempt frame, so the job can drain losers before its frame dies;
 /// on an error path they drain here, before the caller rethrows.
@@ -489,7 +522,6 @@ sim::Task<void> run_compute_race(Cluster& cl, const ErasedSpec& spec, int job,
   const Time t0 = cl.simulator().now();
   st.wg.add(p);
   for (int t = 0; t < p; ++t) {
-    race->tasks[static_cast<std::size_t>(t)].launched = t0;
     attempts.add(1);
     cl.simulator().spawn(race_attempt(cl, spec, job, imm, stage_attempt, t,
                                       -1, race, st, m, attempts));
@@ -1001,7 +1033,9 @@ struct JobFrame {
   /// callers may change `config()` between jobs. A zero health interval
   /// would re-arm its tick at the same instant forever, and a heartbeat
   /// timeout at or above the executor timeout would let executors go dead
-  /// without ever being suspect.
+  /// without ever being suspect. A speculation quantile above 1 would never
+  /// speculate, and a multiplier below 1 would duplicate tasks faster than
+  /// the median.
   static Cluster& validated(Cluster& cl) {
     const EngineConfig& c = cl.config();
     const auto require = [](bool ok, const char* what) {
@@ -1015,6 +1049,11 @@ struct JobFrame {
     require(c.max_stage_attempts >= 1, "max_stage_attempts must be >= 1");
     require(c.health.speculation_interval > 0,
             "health.speculation_interval must be > 0");
+    require(c.health.speculation_multiplier >= 1.0,
+            "health.speculation_multiplier must be >= 1");
+    require(c.health.speculation_quantile > 0.0 &&
+                c.health.speculation_quantile <= 1.0,
+            "health.speculation_quantile must be in (0, 1]");
     require(c.health.heartbeat_interval > 0,
             "health.heartbeat_interval must be > 0");
     require(c.health.heartbeat_timeout < c.health.executor_timeout,

@@ -154,11 +154,12 @@ struct HealthConfig {
   sim::Duration heartbeat_timeout = sim::milliseconds(300);
   sim::Duration executor_timeout = sim::milliseconds(800);
 
-  /// Speculative execution: when a compute task runs longer than
-  /// `speculation_multiplier` x the running median of completed task
-  /// durations (and at least `speculation_quantile` of the stage's tasks
-  /// have completed), a duplicate attempt launches on a healthy executor
-  /// and the first finisher wins.
+  /// Speculative execution: when a compute task has run (timed from its
+  /// core slot) longer than `speculation_multiplier` x the running median
+  /// of completed task run times (and at least `speculation_quantile` of
+  /// the stage's tasks have completed), a duplicate attempt launches on a
+  /// free core of a healthy executor and the first finisher wins. Jobs
+  /// reject a multiplier below 1 and a quantile outside (0, 1].
   bool speculation = false;
   double speculation_multiplier = 1.5;
   double speculation_quantile = 0.5;

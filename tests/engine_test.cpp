@@ -3,8 +3,8 @@
 // fault-injection semantics (task retry vs stage restart), stragglers, the
 // timing relationships the paper's Figure 16 depends on, the aggregator
 // lifetime contract (which attempt folds a partition, and how many task
-// aggregators are alive at once), and the rejection of invalid engine
-// settings at job start.
+// aggregators are alive at once), speculation timing tasks from their core
+// slot, and the rejection of invalid engine settings at job start.
 
 #include <gtest/gtest.h>
 
@@ -826,6 +826,38 @@ TEST(FoldContract, ThrowingSeqOpAbortsWithItsMessage) {
 }
 
 // ---------------------------------------------------------------------------
+// Speculation times a task from its core slot: the second wave of a uniform
+// stage has waited for a core, not run slowly, so nothing is duplicated.
+// ---------------------------------------------------------------------------
+
+TEST(Speculation, UniformTwoWaveStageLaunchesNoDuplicates) {
+  for (const AggMode mode : {AggMode::kTree, AggMode::kSplit}) {
+    SCOPED_TRACE(to_string(mode));
+    Simulator sim;
+    Cluster cl(sim, small_spec());
+    cl.config().agg_mode = mode;
+    cl.config().health.speculation = true;
+    cl.config().health.speculation_interval = sim::milliseconds(1);
+    // 16 tasks of 200 ms on 8 cores: two waves, the second queued ~200 ms.
+    CachedRdd<std::int64_t> rdd(16, cl.num_executors(), row_gen(200));
+    auto sspec = split_sum_spec(8);
+    sspec.base.partition_cost = [](int, const std::vector<std::int64_t>& r) {
+      return sim::milliseconds(r.size());
+    };
+    const Vec want = sequential_reference(rdd, sum_spec(8));
+    AggMetrics m;
+    auto job = [&]() -> Task<Vec> {
+      if (mode == AggMode::kTree) {
+        co_return co_await tree_aggregate(cl, rdd, sspec.base, &m);
+      }
+      co_return co_await split_aggregate(cl, rdd, sspec, &m);
+    };
+    EXPECT_EQ(sim.run_task(job()), want);
+    EXPECT_EQ(m.speculative_launches, 0);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Engine settings no job can run under are rejected when the job starts,
 // naming the field (tests change config() after the cluster is built, so
 // the check cannot live in the Cluster constructor alone).
@@ -873,6 +905,21 @@ TEST(ConfigValidation, RejectsZeroSpeculationInterval) {
   expect_job_rejects(
       [](EngineConfig& c) { c.health.speculation_interval = 0; },
       "speculation_interval");
+}
+
+TEST(ConfigValidation, RejectsSpeculationMultiplierBelowOne) {
+  expect_job_rejects(
+      [](EngineConfig& c) { c.health.speculation_multiplier = 0.9; },
+      "speculation_multiplier");
+}
+
+TEST(ConfigValidation, RejectsSpeculationQuantileOutsideUnitInterval) {
+  expect_job_rejects(
+      [](EngineConfig& c) { c.health.speculation_quantile = 0.0; },
+      "speculation_quantile");
+  expect_job_rejects(
+      [](EngineConfig& c) { c.health.speculation_quantile = 1.5; },
+      "speculation_quantile");
 }
 
 TEST(ConfigValidation, RejectsZeroHeartbeatInterval) {

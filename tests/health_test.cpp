@@ -13,10 +13,17 @@
 // while producing the identical value; a flaky executor is quarantined out
 // of one job's ring and rejoins a later job's; and all of it replays
 // bit-identically under a fixed seed.
+//
+// Speculation policy: a task is timed from its core slot and duplicated only
+// onto a free core of an executor that takes tasks, so a 3x straggler's
+// tasks are won by their duplicates, the straggler's executor id does not
+// change the job time, and a two-wave stage's duplicates never starve the
+// ring of a core.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <utility>
@@ -30,6 +37,7 @@
 #include "engine/rdd.hpp"
 #include "net/cluster.hpp"
 #include "net/fault.hpp"
+#include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 
 namespace sparker {
@@ -195,6 +203,7 @@ struct HealthRun {
   Vec value;
   e::AggMetrics stats;
   e::HealthStats health;
+  std::vector<int> spec_targets;  ///< executor of each traced spec.launch.
 };
 
 HealthRun run_split(const e::EngineConfig& cfg, int nodes = 4, int parts = 8,
@@ -213,6 +222,12 @@ HealthRun run_split(const e::EngineConfig& cfg, int nodes = 4, int parts = 8,
     out.failed = true;
   }
   out.health = cl.health().stats();
+  for (const obs::TraceEvent& ev : cl.trace().events()) {
+    if (ev.kind == obs::EventKind::kInstant &&
+        std::strcmp(ev.name, "spec.launch") == 0) {
+      out.spec_targets.push_back(ev.pid - obs::kExecPidBase);
+    }
+  }
   return out;
 }
 
@@ -344,6 +359,89 @@ TEST(HealthEngine, HealthFeaturesReplayBitIdentically) {
   EXPECT_EQ(a.stats.recovery_time, b.stats.recovery_time);
   EXPECT_EQ(a.health.heartbeats_received, b.health.heartbeats_received);
   EXPECT_EQ(a.health.quarantine_events, b.health.quarantine_events);
+}
+
+// ===========================================================================
+// Speculation policy
+// ===========================================================================
+
+// A plain sequential fold of run_split's input: what every job must return.
+Vec sequential_fold(int parts, int rows) {
+  const auto spec = health_split_spec(64, 8192);
+  const auto gen = health_rows(rows);
+  Vec acc = spec.base.zero;
+  for (int p = 0; p < parts; ++p) {
+    Vec part = spec.base.zero;
+    for (const std::int64_t r : gen(p)) spec.base.seq_op(part, r);
+    spec.base.comb_op(acc, part);
+  }
+  return acc;
+}
+
+e::EngineConfig speculating() {
+  e::EngineConfig cfg = base_config();
+  cfg.health.speculation = true;
+  cfg.health.speculation_interval = sim::milliseconds(5);
+  return cfg;
+}
+
+TEST(Speculation, StragglerTasksAreWonByTheirDuplicates) {
+  // Two waves; executor 3 runs 4 of the 16 tasks, 3x slower (300 ms
+  // instead of 100). Only those may be duplicated.
+  e::EngineConfig cfg = speculating();
+  cfg.stragglers.slowdown[3] = 3.0;
+  const HealthRun r = run_split(cfg, 4, 16, /*rows=*/100);
+  ASSERT_FALSE(r.failed);
+  EXPECT_EQ(r.value, sequential_fold(16, 100));
+  EXPECT_GE(r.stats.speculative_wins, 1);
+  EXPECT_LE(r.stats.speculative_launches, 4);
+}
+
+TEST(Speculation, StragglerAtExecutorZeroCostsWhatItCostsElsewhere) {
+  // Two task waves, so duplicates compete with queued primaries for cores.
+  std::vector<double> seconds;
+  for (const int straggler : {0, 2}) {
+    SCOPED_TRACE(straggler);
+    e::EngineConfig cfg = speculating();
+    cfg.stragglers.slowdown[straggler] = 3.0;
+    const HealthRun r = run_split(cfg, 4, 16, /*rows=*/100);
+    ASSERT_FALSE(r.failed);
+    EXPECT_EQ(r.value, sequential_fold(16, 100));
+    seconds.push_back(sim::to_seconds(r.stats.total()));
+  }
+  EXPECT_NEAR(seconds[0], seconds[1], 0.01 * seconds[1]);
+}
+
+TEST(Speculation, FaultFreeSplitJobNeverRetriesItsRing) {
+  // Two uniform waves of 200 ms tasks against a 400 ms collective timeout:
+  // a duplicate queued on some executor's cores would hold its ring rank
+  // back past the timeout.
+  const HealthRun r = run_split(speculating(), 4, 16, /*rows=*/200);
+  ASSERT_FALSE(r.failed);
+  EXPECT_EQ(r.value, sequential_fold(16, 200));
+  EXPECT_EQ(r.stats.ring_stage_attempts, 1);
+  EXPECT_EQ(r.stats.recovery_time, 0u);
+}
+
+TEST(Speculation, DuplicatesNeverLandOnExecutorsThatTakeNoTasks) {
+  // Executor 5 straggles. Executor 0 is a joiner that is never admitted and
+  // executor 1 drains from mid-compute; both come first in the target scan
+  // from executor 5, and neither may take a duplicate.
+  e::EngineConfig cfg = speculating();
+  cfg.stragglers.slowdown[5] = 3.0;
+  cfg.membership.join(sim::seconds(1000), 0);
+  cfg.membership.decommission(sim::milliseconds(50), 1);
+  cfg.trace.enabled = true;
+  const HealthRun r = run_split(cfg, 6, 12, /*rows=*/100);
+  ASSERT_FALSE(r.failed);
+  EXPECT_EQ(r.value, sequential_fold(12, 100));
+  ASSERT_GE(r.stats.speculative_launches, 1);
+  ASSERT_EQ(r.spec_targets.size(),
+            static_cast<std::size_t>(r.stats.speculative_launches));
+  for (const int target : r.spec_targets) {
+    EXPECT_NE(target, 0) << "duplicate on a joiner not yet admitted";
+    EXPECT_NE(target, 1) << "duplicate on a draining executor";
+  }
 }
 
 }  // namespace
