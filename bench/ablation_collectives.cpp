@@ -1,5 +1,5 @@
 // Ablation: reduction-collective algorithms over the same scalable
-// communicator, all dispatched through comm::CollectiveRegistry. The
+// communicator, all dispatched through comm::reduce_scatter. The
 // split-aggregation interface makes the whole family usable from Spark
 // (paper Section 7); this bench shows where each wins: driver funnel
 // (latency-optimal, incast-bound), binomial tree, recursive halving
@@ -19,6 +19,8 @@
 #include "bench_util/json.hpp"
 #include "bench_util/sim_speed.hpp"
 #include "bench_util/table.hpp"
+#include "bench_util/vec_sai.hpp"
+#include "comm/collectives.hpp"
 
 using namespace sparker;
 
@@ -43,21 +45,13 @@ double tree_reduce_seconds(const net::ClusterSpec& spec, int executors,
   std::vector<bench::Vec> locals(
       static_cast<std::size_t>(executors),
       bench::Vec(static_cast<std::size_t>(len), 1));
+  const double merge_bw = spec.rates.merge_bw;
   auto body = [&](int rank) -> sim::Task<void> {
-    comm::SegOps<bench::Vec> ops;
     const auto& local = locals[static_cast<std::size_t>(rank)];
-    ops.split = [&local](int, int) { return local; };
-    ops.reduce_into = [](bench::Vec& a, const bench::Vec& b) {
-      for (std::size_t i = 0; i < a.size(); ++i) a[i] += b[i];
-    };
-    ops.bytes = [scale](const bench::Vec& v) {
-      return static_cast<std::uint64_t>(
-          static_cast<double>(v.size() * 8) * scale);
-    };
-    ops.merge_time = [&](std::uint64_t b) {
-      return sim::transfer_time(static_cast<double>(b),
-                                net::ClusterSpec::bic().rates.merge_bw);
-    };
+    const comm::SegOps ops =
+        bench::vec_sai::seg_ops(local, scale, [merge_bw](std::uint64_t b) {
+          return sim::transfer_time(static_cast<double>(b), merge_bw);
+        });
     (void)co_await comm::binomial_reduce(c, rank, bench::Vec(local), ops);
   };
   sim.run_task(comm::run_all_ranks(c, body));

@@ -5,8 +5,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <any>
 #include <vector>
 
+#include "bench_util/vec_sai.hpp"
 #include "comm/collectives.hpp"
 #include "comm/communicator.hpp"
 #include "data/generators.hpp"
@@ -161,20 +163,13 @@ void BM_SimulatedRingReduceScatter(benchmark::State& state) {
         static_cast<std::size_t>(n),
         std::vector<std::int64_t>(1024, 1));
     auto body = [&](int rank) -> sim::Task<void> {
-      comm::SegOps<std::vector<std::int64_t>> ops;
       const auto& local = locals[static_cast<std::size_t>(rank)];
+      comm::SegOps ops = bench::vec_sai::seg_ops(local, 8192);  // ~64MB
       ops.split = [&local](int seg, int nseg) {
         const int len = static_cast<int>(local.size());
         const int lo = seg * len / nseg, hi = (seg + 1) * len / nseg;
-        return std::vector<std::int64_t>(local.begin() + lo,
-                                         local.begin() + hi);
-      };
-      ops.reduce_into = [](std::vector<std::int64_t>& a,
-                           const std::vector<std::int64_t>& b) {
-        for (std::size_t i = 0; i < a.size(); ++i) a[i] += b[i];
-      };
-      ops.bytes = [](const std::vector<std::int64_t>& v) {
-        return static_cast<std::uint64_t>(v.size() * 8 * 8192);  // ~64MB
+        return std::any(
+            bench::vec_sai::Vec(local.begin() + lo, local.begin() + hi));
       };
       (void)co_await comm::ring_reduce_scatter(c, rank, ops);
     };

@@ -4,6 +4,7 @@
 
 #include "bench_util/sim_speed.hpp"
 #include "bench_util/vec_sai.hpp"
+#include "comm/collectives.hpp"
 #include "obs/export.hpp"
 
 namespace sparker::bench {
@@ -50,19 +51,9 @@ double p2p_throughput_mbps(const net::ClusterSpec& spec, CommBackend backend,
   auto consumer = [](comm::Communicator& cc, int ch, int n) -> Task<void> {
     for (int i = 0; i < n; ++i) (void)co_await cc.recv(1, 0, ch);
   };
-  sim::WaitGroup wg(sim);
-  wg.add(parallelism);
-  struct Run {
-    static Task<void> go(Task<void> t, sim::WaitGroup& w) {
-      co_await std::move(t);
-      w.done();
-    }
-  };
-  for (int ch = 0; ch < parallelism; ++ch) {
-    sim.spawn(Run::go(consumer(c, ch, messages), wg));
-  }
-  auto waiter = [](sim::WaitGroup& g) -> Task<void> { co_await g.wait(); };
-  sim.run_task(waiter(wg));
+  sim.run_task(sim::run_each(sim, parallelism, [&](int ch) {
+    return consumer(c, ch, messages);
+  }));
   const double total_bytes =
       static_cast<double>(bytes) * parallelism * messages;
   return total_bytes / sim::to_seconds(sim.now()) / 1e6;
@@ -99,20 +90,11 @@ double reduce_scatter_seconds(const net::ClusterSpec& spec, RsOptions opt) {
       opt.algo == comm::AlgoId::kAuto ? rs_tuner_pick(spec, opt) : opt.algo;
   auto body = [&](int rank) -> Task<void> {
     const Vec& local = locals[static_cast<std::size_t>(rank)];
-    comm::SegOps<Vec> ops;
-    ops.split = [&local](int seg, int nseg) {
-      return vec_sai::split(local, seg, nseg);
-    };
-    ops.reduce_into = vec_sai::add;
-    ops.bytes = [bytes_scale](const Vec& v) {
-      return static_cast<std::uint64_t>(
-          static_cast<double>(v.size() * sizeof(std::int64_t)) * bytes_scale);
-    };
-    ops.merge_time = [merge_bw](std::uint64_t b) {
-      return sim::transfer_time(static_cast<double>(b), merge_bw);
-    };
-    (void)co_await comm::CollectiveRegistry<Vec>::instance().reduce_scatter(
-        algo, c, rank, ops);
+    const comm::SegOps ops =
+        vec_sai::seg_ops(local, bytes_scale, [merge_bw](std::uint64_t b) {
+          return sim::transfer_time(static_cast<double>(b), merge_bw);
+        });
+    (void)co_await comm::reduce_scatter(algo, c, rank, ops);
   };
   sim.run_task(comm::run_all_ranks(c, body));
   return sim::to_seconds(sim.now());

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "comm/collectives.hpp"
 #include "comm/communicator.hpp"
 #include "comm/registry.hpp"
 #include "comm/topology.hpp"
@@ -74,7 +73,7 @@ struct RsOptions {
   bool topology_aware = true;
   std::uint64_t message_bytes = 256ull << 20;
   CommBackend backend = CommBackend::kScalable;
-  /// Collective algorithm, dispatched through comm::CollectiveRegistry.
+  /// Collective algorithm, dispatched through comm::reduce_scatter.
   /// kRing is the scalable communicator's algorithm; kHalving and kPairwise
   /// model MPICH's reduce_scatter choices for short and long messages;
   /// kAuto asks the cost-model tuner.

@@ -5,15 +5,25 @@
 #include <utility>
 #include <vector>
 
-#include "engine/aggregate.hpp"
+#include "comm/collectives.hpp"
 
 /// \file vec_sai.hpp
 /// The split-aggregation callbacks of the int64 `Vec` aggregator that the
 /// benches and tests fold: contiguous near-equal segments (splitOp),
 /// element-wise sum (reduceOp, and combOp too), concatenation (concatOp),
-/// and a modeled size of 8 bytes per element times a scale. Header-only, so
-/// tests use it without linking sparker_bench_util. examples/quickstart.cpp
-/// writes the same callbacks out by hand, as the SAI tutorial.
+/// and a modeled size of 8 bytes per element times a scale, for the engine's
+/// SplitAggSpec and for a collective's SegOps alike. The typed callbacks
+/// are header-only, so tests use them without linking sparker_bench_util;
+/// the segment helpers (seg_ops, gather) are compiled in vec_sai.cpp.
+/// examples/quickstart.cpp writes the same callbacks out by hand, as the
+/// SAI tutorial.
+
+namespace sparker::engine {
+// Declared, not included: set_callbacks' callers include
+// engine/aggregate.hpp, and the collective tests need none of the engine.
+template <typename T, typename U, typename V>
+struct SplitAggSpec;
+}  // namespace sparker::engine
 
 namespace sparker::bench::vec_sai {
 
@@ -58,5 +68,18 @@ void set_callbacks(engine::SplitAggSpec<T, Vec, Vec>& spec) {
   spec.concat_op = concat;
   spec.v_bytes = spec.base.bytes;
 }
+
+/// The SegOps of a collective over a rank's `local` value, which must
+/// outlive the collective: the callbacks above on the Vec inside each
+/// segment, a modeled size of `v.size() * 8 * scale` bytes (truncated), and
+/// `merge_time` (none: merges are free). Compiled in vec_sai.cpp.
+comm::SegOps seg_ops(
+    const Vec& local, double scale = 1.0,
+    std::function<sim::Duration(std::uint64_t)> merge_time = {});
+
+/// The whole Vec a reduce-scatter leaves spread over the ranks: every
+/// rank's segments, concatenated in index order. Throws std::logic_error
+/// unless the indices are exactly 0, 1, ..., (number of segments - 1).
+Vec gather(const std::vector<std::vector<comm::Seg>>& per_rank);
 
 }  // namespace sparker::bench::vec_sai

@@ -1,8 +1,10 @@
 #include "comm/registry.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <iterator>
+#include <stdexcept>
 
 /// \file registry.cpp
 /// Algorithm names and the cost-model auto-tuner.

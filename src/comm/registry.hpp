@@ -1,20 +1,13 @@
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <iterator>
-#include <memory>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "comm/collectives.hpp"
-#include "comm/communicator.hpp"
 #include "net/cluster.hpp"
-#include "obs/trace.hpp"
-#include "sim/task.hpp"
 
 /// \file registry.hpp
 /// Pluggable collective-algorithm registry plus a cost-model auto-tuner.
@@ -23,7 +16,8 @@
 /// of reduce-scatter/allreduce algorithms whose crossover depends on
 /// aggregator bytes, executor count and link parameters. One constexpr table
 /// (kAlgoTable) gives each algorithm name its ops, dataflow and encoding;
-/// dispatch, names, aliasing and tuner pricing are derived from it. The
+/// dispatch (comm::reduce_scatter and comm::allreduce, collectives.hpp),
+/// names, aliasing and tuner pricing are derived from it. The
 /// engine's split-aggregation stage loops pick the collective by AlgoId
 /// instead of hardcoding the ring, and every algorithm inherits the
 /// stage-level fault-retry/refold/backoff machinery and health-aware
@@ -194,178 +188,5 @@ AlgoId resolve_algo(CollectiveOp op, AlgoId requested,
 /// back to a plain resolve.
 AlgoId retune_algo(CollectiveOp op, AlgoId configured, AlgoId previous,
                    const CollectiveCostInputs& in);
-
-namespace detail {
-
-/// Allgather for the one-segment-per-rank layouts (halving / pairwise
-/// reduce-scatter leave rank i holding reduced segment i): N-1 ring hops on
-/// channel 0, forwarding the previously received segment each step.
-template <typename V>
-sim::Task<std::vector<Seg<V>>> flat_ring_allgather(Communicator& c, int rank,
-                                                   const SegOps<V>& ops,
-                                                   Seg<V> own) {
-  const int n = c.size();
-  std::vector<Seg<V>> all;
-  all.reserve(static_cast<std::size_t>(n));
-  all.push_back(std::move(own));
-  for (int k = 0; k + 1 < n; ++k) {
-    const Seg<V>& fwd = all[static_cast<std::size_t>(k)];
-    Message m;
-    m.tag = k;
-    m.bytes = ops.bytes(fwd.second);
-    m.payload = std::make_shared<Seg<V>>(fwd);  // copy: we keep ours
-    c.post(rank, c.next(rank), 0, std::move(m));
-    Message in = co_await c.recv(rank, c.prev(rank), 0);
-    all.push_back(std::move(*std::static_pointer_cast<Seg<V>>(in.payload)));
-  }
-  co_return all;
-}
-
-/// Flat funnel reduction: every rank posts its whole value to rank 0, which
-/// folds them in rank order. The non-scalable baseline whose incast is what
-/// the paper's ring exists to avoid; the tuner still picks it for tiny
-/// aggregators where per-message overhead dominates.
-template <typename V>
-sim::Task<std::optional<V>> funnel_reduce(Communicator& c, int rank, V local,
-                                          const SegOps<V>& ops) {
-  const int n = c.size();
-  if (rank != 0) {
-    Message m;
-    m.bytes = ops.bytes(local);
-    m.payload = std::make_shared<V>(std::move(local));
-    c.post(rank, 0, 0, std::move(m));
-    co_return std::nullopt;
-  }
-  for (int src = 1; src < n; ++src) {
-    Message in = co_await c.recv(0, src, 0);
-    co_await c.simulator().sleep(merge_cost(ops, in.bytes));
-    ops.reduce_into(local, *std::static_pointer_cast<V>(in.payload));
-  }
-  co_return std::optional<V>(std::move(local));
-}
-
-}  // namespace detail
-
-/// Dispatch over kAlgoTable for one segment type. A reduce-scatter runs the
-/// row's dataflow; an allreduce runs that reduce-scatter, the allgather
-/// that fits its segment layout, then one sort + concat — except the
-/// funnel, whose whole value on rank 0 is broadcast back instead. Every
-/// dispatch wraps the implementation in a "collective" trace span carrying
-/// the integer `algo` attribute (plus failed=0/1 on close), which is what
-/// trace_lint and the obs tests key on.
-template <typename V>
-class CollectiveRegistry {
- public:
-  static const CollectiveRegistry& instance() {
-    static const CollectiveRegistry reg;
-    return reg;
-  }
-
-  /// Dispatches a reduce-scatter. `algo` must be a concrete registered id
-  /// (resolve kAuto via resolve_algo first — all ranks of one collective
-  /// must agree on the algorithm, so resolution happens once at the stage).
-  sim::Task<std::vector<Seg<V>>> reduce_scatter(AlgoId algo, Communicator& c,
-                                                int rank,
-                                                const SegOps<V>& ops) const {
-    const AlgoId id = registered_algo(CollectiveOp::kReduceScatter, algo);
-    co_return co_await traced(c, rank, "collective.reduce_scatter", id,
-                              scatter(algo_row(id).flow, c, rank, ops));
-  }
-
-  /// Dispatches an allreduce; same contract as reduce_scatter.
-  sim::Task<V> allreduce(AlgoId algo, Communicator& c, int rank,
-                         const SegOps<V>& ops) const {
-    const AlgoId id = registered_algo(CollectiveOp::kAllreduce, algo);
-    co_return co_await traced(c, rank, "collective.allreduce", id,
-                              reduce_all(algo_row(id).flow, c, rank, ops));
-  }
-
- private:
-  /// Runs `body` inside the dispatch's "collective" span and rethrows its
-  /// failure after closing the span.
-  template <typename T>
-  static sim::Task<T> traced(Communicator& c, int rank, const char* name,
-                             AlgoId id, sim::Task<T> body) {
-    obs::TraceSink* tr = c.fabric().trace();
-    const obs::SpanId span =
-        tr ? tr->begin("collective", name, obs::exec_pid(c.node_of(rank)),
-                       rank,
-                       {{"algo", static_cast<std::int64_t>(id)},
-                        {"rank", rank}})
-           : obs::kNoSpan;
-    try {
-      T out = co_await std::move(body);
-      if (tr) tr->end(span, {{"failed", 0}});
-      co_return out;
-    } catch (...) {
-      if (tr) tr->end(span, {{"failed", 1}});
-      throw;
-    }
-  }
-
-  static sim::Task<std::vector<Seg<V>>> scatter(Dataflow flow,
-                                                Communicator& c, int rank,
-                                                const SegOps<V>& ops) {
-    std::vector<Seg<V>> out;
-    switch (flow) {
-      case Dataflow::kRing:
-        out = co_await ring_reduce_scatter<V>(c, rank, ops);
-        break;
-      case Dataflow::kHalving: {
-        std::optional<Seg<V>> seg =
-            co_await halving_reduce_scatter<V>(c, rank, ops);
-        if (seg) out.push_back(std::move(*seg));
-        break;
-      }
-      case Dataflow::kPairwise:
-        out.push_back(co_await pairwise_reduce_scatter<V>(c, rank, ops));
-        break;
-      case Dataflow::kFunnel: {
-        std::optional<V> whole =
-            co_await detail::funnel_reduce<V>(c, rank, ops.split(0, 1), ops);
-        if (whole) out.push_back({0, std::move(*whole)});
-        break;
-      }
-      case Dataflow::kNone:
-        break;
-    }
-    co_return out;
-  }
-
-  static sim::Task<V> reduce_all(Dataflow flow, Communicator& c, int rank,
-                                 const SegOps<V>& ops) {
-    const bool funnel = flow == Dataflow::kFunnel;
-    if (!funnel && !ops.concat) {
-      throw std::invalid_argument("allreduce requires concatOp");
-    }
-    std::vector<Seg<V>> owned = co_await scatter(flow, c, rank, ops);
-    if (funnel) {
-      // Rank 0 alone holds the whole value: broadcast it, no concat. Relay
-      // hops are priced with the local whole-value size (identical across
-      // ranks for the engine's fixed-shape aggregators).
-      std::shared_ptr<V> value;
-      std::uint64_t bytes = 0;
-      if (owned.empty()) {
-        bytes = ops.bytes(ops.split(0, 1));
-      } else {
-        bytes = ops.bytes(owned.front().second);
-        value = std::make_shared<V>(std::move(owned.front().second));
-      }
-      co_return co_await binomial_broadcast<V>(c, rank, 0, std::move(value),
-                                               bytes);
-    }
-    std::vector<Seg<V>> all;
-    if (flow == Dataflow::kRing) {
-      all = co_await ring_allgather<V>(c, rank, ops, std::move(owned));
-    } else {
-      all = co_await detail::flat_ring_allgather<V>(c, rank, ops,
-                                                    std::move(owned.front()));
-    }
-    std::sort(all.begin(), all.end(), [](const Seg<V>& a, const Seg<V>& b) {
-      return a.first < b.first;
-    });
-    co_return ops.concat(all);
-  }
-};
 
 }  // namespace sparker::comm

@@ -8,20 +8,22 @@
 
 #include "comm/collectives.hpp"
 #include "comm/registry.hpp"
+#include "engine/broadcast.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 /// \file aggregate.cpp
 /// The aggregation engine, compiled once. It never names T, U or V: rows
 /// are reached through ErasedSpec's fold and cost closures, aggregators are
-/// `std::shared_ptr<void>`, and segments are `std::any`, so the collectives
-/// it dispatches are the one `comm::CollectiveRegistry<std::any>`.
+/// `std::shared_ptr<void>`, and segments are `std::any`, the one segment
+/// type the compiled collectives (comm/collectives.cpp) run over.
+/// The torrent broadcast (broadcast.hpp) is compiled here too.
 
 namespace sparker::engine::detail {
 namespace {
 
 using Agg = std::shared_ptr<void>;
-using SegOps = comm::SegOps<std::any>;
+using comm::SegOps;
 
 /// Thrown inside a task attempt when the fault plan injects a failure.
 struct TaskFailed {};
@@ -676,18 +678,16 @@ sim::Task<Blob> reduce_task(Cluster& cl, int job, std::vector<Blob> inputs,
 }
 
 /// One tree-combine task of a round. Its core slot is released (in
-/// reduce_task) before the round's WaitGroup hears of it.
+/// reduce_task) before the round's fork-join hears of it.
 sim::Task<void> combine(Cluster& cl, int job, std::vector<Blob> inputs,
-                        int dest_exec, const ErasedSpec& spec, Blob& out,
-                        sim::WaitGroup& wg) {
+                        int dest_exec, const ErasedSpec& spec, Blob& out) {
   out = co_await reduce_task(cl, job, std::move(inputs), dest_exec, spec);
-  wg.done();
 }
 
 /// One result's arrival at the driver: inline or via BlockManager fetch,
 /// then deserialize + merge through the driver loop.
 sim::Task<void> arrive(Cluster& cl, int job, Blob in, Agg& acc,
-                       const ErasedSpec& spec, sim::WaitGroup& wg) {
+                       const ErasedSpec& spec) {
   co_await cl.simulator().sleep(cl.control_latency(in.executor));
   if (!in.serialized) {
     co_await cl.simulator().sleep(cl.ser_time(in.bytes));
@@ -711,7 +711,6 @@ sim::Task<void> arrive(Cluster& cl, int job, Blob in, Agg& acc,
   } else {
     spec.comb(acc.get(), in.value.get());
   }
-  wg.done();
 }
 
 /// Final serial reduce at the driver: results arrive (see `arrive`) and are
@@ -719,12 +718,10 @@ sim::Task<void> arrive(Cluster& cl, int job, Blob in, Agg& acc,
 sim::Task<Agg> driver_reduce(Cluster& cl, int job, std::vector<Blob> inputs,
                              const ErasedSpec& spec) {
   Agg acc;
-  sim::WaitGroup wg(cl.simulator());
-  wg.add(static_cast<std::int64_t>(inputs.size()));
-  for (auto& in : inputs) {
-    cl.simulator().spawn(arrive(cl, job, in, acc, spec, wg));
-  }
-  co_await wg.wait();
+  co_await sim::run_each(
+      cl.simulator(), static_cast<int>(inputs.size()), [&](int i) {
+        return arrive(cl, job, inputs[static_cast<std::size_t>(i)], acc, spec);
+      });
   co_return acc;
 }
 
@@ -916,19 +913,6 @@ sim::Task<void> settle_and_backoff(Cluster& cl, int job, int ring_attempt,
   tr.end(pause);
 }
 
-/// Runs `body` as one branch of a fork-join: its first exception lands in
-/// `error` (the joiner rethrows it), and `wg` is marked done either way, so
-/// a fault can never leave the joiner hanging.
-sim::Task<void> join_branch(sim::Task<void> body, sim::WaitGroup& wg,
-                            std::exception_ptr& error) {
-  try {
-    co_await std::move(body);
-  } catch (...) {
-    if (!error) error = std::current_exception();
-  }
-  wg.done();
-}
-
 /// Recovery between failed ring-stage attempts: settle_and_backoff,
 /// optionally overlapped with the eager refold of partials lost with
 /// *physically dead* executors (`EngineConfig::overlap_recovery`).
@@ -955,16 +939,12 @@ sim::Task<void> recover_between_attempts(Cluster& cl, const ErasedSpec& spec,
                    {{"job", job},
                     {"attempt", ring_attempt},
                     {"backoff_ns", static_cast<std::int64_t>(backoff)}}));
-  sim::WaitGroup wg(cl.simulator());
-  wg.add(2);
-  std::exception_ptr error;
-  cl.simulator().spawn(join_branch(
-      settle_and_backoff(cl, job, ring_attempt, backoff), wg, error));
-  cl.simulator().spawn(join_branch(
-      refold_partials(cl, spec, job, m, nullptr, per_exec, owned), wg, error));
-  co_await wg.wait();
-  overlap.close();
-  if (error) std::rethrow_exception(error);
+  // `overlap` closes once both branches are done, whether or not one failed.
+  co_await sim::run_each(cl.simulator(), 2, [&](int branch) {
+    return branch == 0
+               ? settle_and_backoff(cl, job, ring_attempt, backoff)
+               : refold_partials(cl, spec, job, m, nullptr, per_exec, owned);
+  });
 }
 
 /// One aggregation job's frame, shared by the three entry points. Built
@@ -1086,7 +1066,7 @@ struct RankCtx {
 /// What one ring-stage attempt collects: under reduce-scatter every rank's
 /// segments, gathered at the driver; under allreduce rank 0's replica.
 struct RingAttempt {
-  std::vector<comm::Seg<std::any>> segs;
+  std::vector<comm::Seg> segs;
   std::uint64_t bytes = 0;
   std::any replica;
 };
@@ -1096,8 +1076,7 @@ struct RingAttempt {
 sim::Task<void> gather_rank(Cluster& cl, const ErasedSpec& spec, int job,
                             const RankCtx& r, const SegOps& ops,
                             RingAttempt& g) {
-  auto segs = co_await comm::CollectiveRegistry<std::any>::instance()
-                  .reduce_scatter(r.algo, r.sc, r.rank, ops);
+  auto segs = co_await comm::reduce_scatter(r.algo, r.sc, r.rank, ops);
   if (!cl.executor_alive(r.exec)) {
     throw comm::CollectiveFailed("executor died after reduce-scatter");
   }
@@ -1149,8 +1128,7 @@ sim::Task<void> allreduce_rank(Cluster& cl, const ErasedSpec& spec, int job,
                                std::int64_t result_key, const RankCtx& r,
                                SegOps& ops, RingAttempt& st) {
   ops.concat = spec.concat;
-  std::any full = co_await comm::CollectiveRegistry<std::any>::instance()
-                      .allreduce(r.algo, r.sc, r.rank, ops);
+  std::any full = co_await comm::allreduce(r.algo, r.sc, r.rank, ops);
   if (!cl.executor_alive(r.exec)) {
     throw comm::CollectiveFailed("executor died after allreduce");
   }
@@ -1291,22 +1269,15 @@ sim::Task<std::any> run_ring_stage(JobFrame& f, const ErasedSpec& spec,
       cl.metrics().add(std::string("agg.collective.") + comm::to_string(algo),
                        1);
       RingAttempt st;
-      std::exception_ptr error;
-      sim::WaitGroup wg(cl.simulator());
-      wg.add(ring.n);
-      for (int r = 0; r < ring.n; ++r) {
+      co_await sim::run_each(cl.simulator(), ring.n, [&](int r) {
         const int e = ring.rank_exec[static_cast<std::size_t>(r)];
         Agg localv = per_exec[static_cast<std::size_t>(e)];
         // Executors that received no partition contribute a zero aggregator.
         if (!localv) localv = spec.copy(spec.zero);
-        cl.simulator().spawn(join_branch(
-            ring_rank(cl, job, spec, op, result_key,
-                      RankCtx{*ring.sc, algo, encoded, e, r, std::move(localv)},
-                      st),
-            wg, error));
-      }
-      co_await wg.wait();
-      if (error) std::rethrow_exception(error);
+        return ring_rank(
+            cl, job, spec, op, result_key,
+            RankCtx{*ring.sc, algo, encoded, e, r, std::move(localv)}, st);
+      });
       std::any result;
       if (gather) {
         result = co_await gather_result(cl, spec, job, st, encoded, per_exec);
@@ -1375,16 +1346,11 @@ Result tree_aggregate(Cluster& cl, ErasedSpec spec, AggMetrics* metrics,
     }
     co_await cl.simulator().sleep(cl.spec().rates.scheduler_delay);
     std::vector<Blob> next(static_cast<std::size_t>(num_partitions));
-    sim::WaitGroup wg(cl.simulator());
-    wg.add(num_partitions);
-    for (int j = 0; j < num_partitions; ++j) {
-      const int dest = j % cl.num_executors();
-      cl.simulator().spawn(combine(cl, f.job,
-                                   std::move(groups[static_cast<std::size_t>(j)]),
-                                   dest, spec,
-                                   next[static_cast<std::size_t>(j)], wg));
-    }
-    co_await wg.wait();
+    co_await sim::run_each(cl.simulator(), num_partitions, [&](int j) {
+      const auto i = static_cast<std::size_t>(j);
+      return combine(cl, f.job, std::move(groups[i]), j % cl.num_executors(),
+                     spec, next[i]);
+    });
     blobs = std::move(next);
   }
 
@@ -1406,6 +1372,67 @@ Result split_allreduce(Cluster& cl, ErasedSpec spec, AggMetrics* metrics,
   JobFrame f(cl, metrics, opt, "job.split_allreduce", "agg.jobs.allreduce");
   co_return spec.share(co_await run_ring_stage(
       f, spec, opt.ring, comm::CollectiveOp::kAllreduce, result_key));
+}
+
+// ---------------------------------------------------------------------------
+// Torrent broadcast (broadcast.hpp).
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// One executor's side of the relay: every block through the binomial
+/// broadcast, then (under `store_key >= 0`) its own copy of the value into
+/// its mutable object manager.
+sim::Task<void> relay(Cluster& cl, comm::Communicator& sc, JobRing* ring,
+                      int rank, std::shared_ptr<const void> value, int blocks,
+                      std::uint64_t per_block, std::int64_t store_key,
+                      CopyValue copy) {
+  std::shared_ptr<const void> got;
+  for (int b = 0; b < blocks; ++b) {
+    got = co_await comm::binomial_broadcast(sc, rank, /*root=*/0, value,
+                                            per_block);
+  }
+  if (store_key >= 0) {
+    Executor& ex = cl.executor(cl.ring_executor_of_rank(ring, rank));
+    auto& obj = ex.mutable_object(store_key, cl.simulator());
+    obj.value = copy(got.get());
+  }
+}
+
+}  // namespace
+
+sim::Task<void> broadcast_erased(Cluster& cl, std::shared_ptr<void> value,
+                                 std::uint64_t bytes, std::int64_t store_key,
+                                 JobOptions opt, CopyValue copy) {
+  JobRing* const ring = opt.ring;
+  auto& sc = cl.ring_comm(ring);
+  const int n = sc.size();
+  obs::TraceSink& tr = cl.trace();
+  obs::TraceSink::Scope bcast_scope(
+      tr, tr.begin("bcast", "bcast.value", obs::kDriverPid, 0,
+                   {{"bytes", static_cast<std::int64_t>(bytes)},
+                    {"executors", n},
+                    {"key", store_key}}));
+  // Remember what was shipped so a mid-campaign joiner can be warmed up
+  // with the same resident state (Cluster::sync_membership).
+  cl.note_broadcast(store_key, value, bytes);
+  // Seed: driver ships the blob to the executor at ring rank 0.
+  const int seed_exec = cl.ring_executor_of_rank(ring, 0);
+  co_await cl.fetch_blob(Cluster::kDriver, seed_exec, bytes);
+  // Relay: block-pipelined binomial broadcast among the executors
+  // (TorrentBroadcast uses 4 MB blocks; pipelining keeps every relay hop
+  // busy so the total is ~transfer time + log-depth latency, not
+  // hops x transfer).
+  constexpr std::uint64_t kBlock = 4ull << 20;
+  const int blocks = static_cast<int>(
+      std::min<std::uint64_t>(64, std::max<std::uint64_t>(1, bytes / kBlock)));
+  const std::uint64_t per_block = bytes / static_cast<std::uint64_t>(blocks);
+  co_await sim::run_each(cl.simulator(), n, [&](int r) {
+    std::shared_ptr<const void> seed;  // only the root starts with the value
+    if (r == 0) seed = value;
+    return relay(cl, sc, ring, r, std::move(seed), blocks, per_block,
+                 store_key, copy);
+  });
 }
 
 }  // namespace sparker::engine::detail

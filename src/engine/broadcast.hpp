@@ -1,84 +1,48 @@
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 
-#include "comm/collectives.hpp"
 #include "engine/cluster.hpp"
 
 /// \file broadcast.hpp
 /// Torrent-style broadcast: the driver seeds one executor with the blob,
 /// then a binomial relay over the scalable communicator spreads it to all
 /// executors (Spark's TorrentBroadcast has the same log-depth, NIC-bound
-/// behaviour). The real payload rides along so downstream code can use it;
-/// time is charged from the modeled byte count.
+/// behaviour). The real payload rides along, shared and uncopied, so
+/// downstream code can use it; time is charged from the modeled byte count.
 
 namespace sparker::engine {
 
+namespace detail {
+
+/// Makes an executor's own copy of a broadcast value.
+using CopyValue = std::shared_ptr<void> (*)(const void* value);
+
+/// broadcast_value over the erased value; compiled in aggregate.cpp.
+/// `copy` runs once per storing executor.
+sim::Task<void> broadcast_erased(Cluster& cl, std::shared_ptr<void> value,
+                                 std::uint64_t bytes, std::int64_t store_key,
+                                 JobOptions opt, CopyValue copy);
+
+}  // namespace detail
+
 /// Broadcasts `value` (modeled wire size `bytes`) from the driver to every
 /// executor. Completes when the slowest executor holds it. If
-/// `store_key >= 0` the value is stored in every executor's mutable object
-/// manager under that key. Scheduled jobs pass their JobOptions so the
-/// relay rides the job's private ring instead of the shared communicator.
+/// `store_key >= 0` every executor's mutable object manager stores its own
+/// copy of the value under that key; the relay itself copies nothing.
+/// Scheduled jobs pass their JobOptions so the relay rides the job's
+/// private ring instead of the shared communicator.
 template <typename V>
 sim::Task<void> broadcast_value(Cluster& cl, std::shared_ptr<V> value,
                                 std::uint64_t bytes,
                                 std::int64_t store_key = -1,
                                 const JobOptions& opt = {}) {
-  JobRing* const ring = opt.ring;
-  auto& sc = cl.ring_comm(ring);
-  const int n = sc.size();
-  obs::TraceSink& tr = cl.trace();
-  obs::TraceSink::Scope bcast_scope(
-      tr, tr.begin("bcast", "bcast.value", obs::kDriverPid, 0,
-                   {{"bytes", static_cast<std::int64_t>(bytes)},
-                    {"executors", n},
-                    {"key", store_key}}));
-  // Remember what was shipped so a mid-campaign joiner can be warmed up
-  // with the same resident state (Cluster::sync_membership).
-  cl.note_broadcast(store_key, value, bytes);
-  // Seed: driver ships the blob to the executor at ring rank 0.
-  const int seed_exec = cl.ring_executor_of_rank(ring, 0);
-  co_await cl.fetch_blob(Cluster::kDriver, seed_exec, bytes);
-  // Relay: block-pipelined binomial broadcast among the executors
-  // (TorrentBroadcast uses 4 MB blocks; pipelining keeps every relay hop
-  // busy so the total is ~transfer time + log-depth latency, not
-  // hops x transfer).
-  constexpr std::uint64_t kBlock = 4ull << 20;
-  const int blocks = static_cast<int>(
-      std::min<std::uint64_t>(64, std::max<std::uint64_t>(1, bytes / kBlock)));
-  const std::uint64_t per_block = bytes / static_cast<std::uint64_t>(blocks);
-  sim::WaitGroup wg(cl.simulator());
-  wg.add(n);
-  struct Relay {
-    static sim::Task<void> go(Cluster& cl, comm::Communicator& sc,
-                              JobRing* ring, int rank,
-                              std::shared_ptr<V> value, int blocks,
-                              std::uint64_t per_block, std::int64_t store_key,
-                              sim::WaitGroup& wg) {
-      V got{};
-      for (int b = 0; b < blocks; ++b) {
-        got = co_await comm::binomial_broadcast<V>(sc, rank, /*root=*/0,
-                                                   value, per_block);
-      }
-      if (store_key >= 0) {
-        Executor& ex = cl.executor(cl.ring_executor_of_rank(ring, rank));
-        auto& obj = ex.mutable_object(store_key, cl.simulator());
-        obj.value = std::make_shared<V>(std::move(got));
-      }
-      wg.done();
-    }
-  };
-  for (int r = 0; r < n; ++r) {
-    // Hoisted: a `?:` temporary inside a coroutine call expression is
-    // destroyed twice by GCC 12 (PR and friends); name it instead.
-    std::shared_ptr<V> seed;
-    if (r == 0) seed = value;
-    cl.simulator().spawn(
-        Relay::go(cl, sc, ring, r, seed, blocks, per_block, store_key, wg));
-  }
-  co_await wg.wait();
+  return detail::broadcast_erased(
+      cl, std::move(value), bytes, store_key, opt,
+      [](const void* v) -> std::shared_ptr<void> {
+        return std::make_shared<V>(*static_cast<const V*>(v));
+      });
 }
 
 }  // namespace sparker::engine

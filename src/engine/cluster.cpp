@@ -1,8 +1,38 @@
 #include "engine/cluster.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace sparker::engine {
+namespace {
+
+/// Throws std::invalid_argument, naming the schedule, event and executor,
+/// when a fault or membership event names an executor outside [0, n): the
+/// fault fabric would silently ignore it, and the membership manager would
+/// index past its tables.
+void check_schedule_executors(const EngineConfig& cfg, int n) {
+  const auto check = [n](const char* schedule, std::size_t event, int exec) {
+    if (exec >= 0 && exec < n) return;
+    throw std::invalid_argument(
+        std::string(schedule) + " event " + std::to_string(event) +
+        ": executor " + std::to_string(exec) +
+        (exec < 0 ? " < 0" : " >= num_executors " + std::to_string(n)));
+  };
+  const auto& faults = cfg.fault_schedule.events;
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    check("FaultSchedule", i, faults[i].a);
+    if (faults[i].kind != FaultEvent::Kind::kKillExecutor) {
+      check("FaultSchedule", i, faults[i].b);
+    }
+  }
+  const auto& churn = cfg.membership.events;
+  for (std::size_t i = 0; i < churn.size(); ++i) {
+    check("MembershipSchedule", i, churn[i].executor);
+  }
+}
+
+}  // namespace
 
 const char* to_string(AggMode m) {
   switch (m) {
@@ -18,6 +48,7 @@ const char* to_string(AggMode m) {
 
 Cluster::Cluster(sim::Simulator& sim, net::ClusterSpec spec, EngineConfig cfg)
     : sim_(&sim), spec_(std::move(spec)), cfg_(cfg), driver_loop_(sim) {
+  check_schedule_executors(cfg_, spec_.num_nodes * spec_.executors_per_node);
   trace_ = std::make_unique<obs::TraceSink>(sim, cfg_.trace.enabled);
   fabric_ = std::make_unique<net::Fabric>(sim, spec_.fabric, spec_.num_nodes);
   if (cfg_.trace.enabled) {

@@ -86,6 +86,9 @@ class Executor {
 /// The simulated cluster.
 class Cluster {
  public:
+  /// Arms `cfg`'s fault and membership schedules; throws
+  /// std::invalid_argument if either names an executor outside
+  /// [0, num_executors).
   Cluster(sim::Simulator& sim, net::ClusterSpec spec, EngineConfig cfg = {});
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;

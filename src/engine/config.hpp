@@ -208,9 +208,10 @@ struct EngineConfig {
   int tree_depth = 2;          ///< Spark treeAggregate depth.
   int sai_parallelism = 4;     ///< P: parallel ring channels (paper: 4).
   /// Collective algorithm for split aggregation / allreduce, dispatched
-  /// through comm::CollectiveRegistry. kRing is the paper's algorithm (for
-  /// allreduce it aliases to its Rabenseifner composition); kAuto lets the
-  /// cost-model tuner pick per stage attempt from the live topology.
+  /// through comm::reduce_scatter / comm::allreduce. kRing is the paper's
+  /// algorithm (for allreduce it aliases to its Rabenseifner composition);
+  /// kAuto lets the cost-model tuner pick per stage attempt from the live
+  /// topology.
   comm::AlgoId collective_algo = comm::AlgoId::kRing;
   bool topology_aware = true;  ///< sort executors by hostname for the ring.
   int max_task_attempts = 4;   ///< task retries before the job fails.

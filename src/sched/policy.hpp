@@ -10,7 +10,7 @@
 
 /// \file policy.hpp
 /// Scheduling policies for the multi-tenant job scheduler, behind a
-/// table-driven registry like comm::CollectiveRegistry's: policy id ->
+/// table-driven registry like comm::kAlgoTable: policy id ->
 /// factory, so benches can sweep every registered policy and new policies
 /// plug in with one table row, without touching the scheduler core.
 ///

@@ -1,5 +1,9 @@
 #include "sim/simulator.hpp"
 
+#include <exception>
+
+#include "sim/sync.hpp"
+
 namespace sparker::sim {
 
 void Simulator::fire_timer(std::uint32_t idx) {
@@ -93,6 +97,30 @@ std::uint64_t Simulator::run_until(Time deadline) {
   }
   if (now_ < deadline && live_ == 0) now_ = deadline;
   return n;
+}
+
+namespace {
+
+Task<void> run_one(const std::function<Task<void>(int)>& fn, int i,
+                   WaitGroup& wg, std::exception_ptr& error) {
+  try {
+    co_await fn(i);
+  } catch (...) {
+    if (!error) error = std::current_exception();
+  }
+  wg.done();
+}
+
+}  // namespace
+
+Task<void> run_each(Simulator& sim, int count,
+                    std::function<Task<void>(int)> fn) {
+  WaitGroup wg(sim);
+  wg.add(count);
+  std::exception_ptr error;
+  for (int i = 0; i < count; ++i) sim.spawn(run_one(fn, i, wg, error));
+  co_await wg.wait();
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace sparker::sim

@@ -4,8 +4,10 @@
 #include <coroutine>
 #include <cstdint>
 #include <deque>
+#include <functional>
 
 #include "sim/simulator.hpp"
+#include "sim/task.hpp"
 
 /// \file sync.hpp
 /// Synchronization primitives for simulated processes: counting semaphore
@@ -110,6 +112,14 @@ class WaitGroup {
   std::int64_t count_ = 0;
   std::deque<std::coroutine_handle<>> waiters_;
 };
+
+/// Fork-join: runs `fn(i)` for every i in [0, count) as concurrent detached
+/// tasks, spawned in index order, and completes when all have. A detached
+/// task's escaped exception would abort the process (sim::Task policy), so
+/// the first failure is captured and rethrown here once every task has
+/// finished or failed. Compiled in simulator.cpp.
+Task<void> run_each(Simulator& sim, int count,
+                    std::function<Task<void>(int)> fn);
 
 /// Analytic FIFO queueing server.
 ///

@@ -6,10 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <any>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
-#include <limits>
 #include <map>
 #include <memory>
 #include <numeric>
@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_util/vec_sai.hpp"
 #include "comm/collectives.hpp"
 #include "comm/communicator.hpp"
 #include "comm/registry.hpp"
@@ -33,6 +34,9 @@ using sim::Simulator;
 using sim::Task;
 using sim::Time;
 using Vec = std::vector<std::int64_t>;
+using bench::vec_sai::bounds;
+using bench::vec_sai::gather;
+using bench::vec_sai::seg_ops;
 
 // Test harness: a fabric + communicator with every rank on its own host
 // unless a mapping is given.
@@ -77,34 +81,6 @@ Vec expected_sum(int n, int len) {
     v[static_cast<std::size_t>(i)] = static_cast<std::int64_t>(i + 1) * ranks;
   }
   return v;
-}
-
-// Segment [seg] of a vector split into nseg near-equal contiguous slices.
-std::pair<int, int> slice_bounds(int len, int seg, int nseg) {
-  const int base = len / nseg;
-  const int rem = len % nseg;
-  const int lo = seg * base + std::min(seg, rem);
-  const int hi = lo + base + (seg < rem ? 1 : 0);
-  return {lo, hi};
-}
-
-SegOps<Vec> vec_ops(const Vec& local, int len) {
-  SegOps<Vec> ops;
-  ops.split = [&local, len](int seg, int nseg) {
-    auto [lo, hi] = slice_bounds(len, seg, nseg);
-    return Vec(local.begin() + lo, local.begin() + hi);
-  };
-  ops.reduce_into = [](Vec& dst, const Vec& src) {
-    ASSERT_EQ(dst.size(), src.size());
-    for (std::size_t i = 0; i < dst.size(); ++i) dst[i] += src[i];
-  };
-  ops.bytes = [](const Vec& v) { return v.size() * sizeof(std::int64_t); };
-  ops.concat = [](std::vector<Seg<Vec>>& segs) {
-    Vec out;
-    for (auto& [idx, v] : segs) out.insert(out.end(), v.begin(), v.end());
-    return out;
-  };
-  return ops;
 }
 
 TEST(Communicator, PointToPointDelivers) {
@@ -174,35 +150,19 @@ TEST_P(RingRsCorrectness, MatchesSequentialReduce) {
   for (int r = 0; r < n; ++r) locals.push_back(make_value(r, len));
   const Vec want = expected_sum(n, len);
 
-  std::vector<std::vector<Seg<Vec>>> got(static_cast<std::size_t>(n));
+  std::vector<std::vector<Seg>> got(static_cast<std::size_t>(n));
   auto body = [&](int rank) -> Task<void> {
-    auto ops = vec_ops(locals[static_cast<std::size_t>(rank)], len);
+    auto ops = seg_ops(locals[static_cast<std::size_t>(rank)]);
     got[static_cast<std::size_t>(rank)] =
         co_await ring_reduce_scatter(*w.c, rank, ops);
   };
   w.sim->run_task(run_all_ranks(*w.c, body));
 
-  // Each rank owns P segments; reassemble and compare.
-  std::vector<bool> seen(static_cast<std::size_t>(p * n), false);
-  Vec assembled(static_cast<std::size_t>(len), 0);
-  for (int r = 0; r < n; ++r) {
-    ASSERT_EQ(got[static_cast<std::size_t>(r)].size(),
-              static_cast<std::size_t>(p));
-    for (auto& [seg, v] : got[static_cast<std::size_t>(r)]) {
-      ASSERT_GE(seg, 0);
-      ASSERT_LT(seg, p * n);
-      EXPECT_FALSE(seen[static_cast<std::size_t>(seg)]);
-      seen[static_cast<std::size_t>(seg)] = true;
-      auto [lo, hi] = slice_bounds(len, seg, p * n);
-      ASSERT_EQ(static_cast<int>(v.size()), hi - lo);
-      for (int i = lo; i < hi; ++i) {
-        assembled[static_cast<std::size_t>(i)] =
-            v[static_cast<std::size_t>(i - lo)];
-      }
-    }
+  // Each rank owns P segments; together they are the reduced vector.
+  for (const auto& segs : got) {
+    ASSERT_EQ(segs.size(), static_cast<std::size_t>(p));
   }
-  for (bool s : seen) EXPECT_TRUE(s);
-  EXPECT_EQ(assembled, want);
+  EXPECT_EQ(gather(got), want);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -241,22 +201,25 @@ TEST(RingReduceScatter, SplitsEachSegmentOnceOnDemand) {
   for (int r = 0; r < n; ++r) locals.push_back(make_value(r, len));
   std::vector<std::vector<int>> splits(static_cast<std::size_t>(n),
                                        std::vector<int>(n * p, 0));
-  std::vector<std::vector<Seg<CountedSeg>>> got(static_cast<std::size_t>(n));
+  std::vector<std::vector<Seg>> got(static_cast<std::size_t>(n));
   CountedSeg::peak = CountedSeg::live;
   const int baseline = CountedSeg::live;
   auto body = [&](int rank) -> Task<void> {
-    SegOps<CountedSeg> ops;
+    SegOps ops;
     ops.split = [&, rank](int seg, int nseg) {
       ++splits[static_cast<std::size_t>(rank)][static_cast<std::size_t>(seg)];
       const Vec& local = locals[static_cast<std::size_t>(rank)];
-      auto [lo, hi] = slice_bounds(len, seg, nseg);
-      return CountedSeg(Vec(local.begin() + lo, local.begin() + hi));
+      auto [lo, hi] = bounds(len, seg, nseg);
+      return std::any(CountedSeg(Vec(local.begin() + lo, local.begin() + hi)));
     };
-    ops.reduce_into = [](CountedSeg& dst, const CountedSeg& src) {
-      for (std::size_t i = 0; i < dst.v.size(); ++i) dst.v[i] += src.v[i];
+    ops.reduce_into = [](std::any& dst, const std::any& src) {
+      Vec& d = std::any_cast<CountedSeg&>(dst).v;
+      const Vec& s = std::any_cast<const CountedSeg&>(src).v;
+      for (std::size_t i = 0; i < d.size(); ++i) d[i] += s[i];
     };
-    ops.bytes = [](const CountedSeg& s) {
-      return s.v.size() * sizeof(std::int64_t);
+    ops.bytes = [](const std::any& s) {
+      return std::any_cast<const CountedSeg&>(s).v.size() *
+             sizeof(std::int64_t);
     };
     got[static_cast<std::size_t>(rank)] =
         co_await ring_reduce_scatter(*w.c, rank, ops);
@@ -275,12 +238,24 @@ TEST(RingReduceScatter, SplitsEachSegmentOnceOnDemand) {
     ASSERT_EQ(got[static_cast<std::size_t>(r)].size(),
               static_cast<std::size_t>(p));
     for (const auto& [seg, s] : got[static_cast<std::size_t>(r)]) {
-      auto [lo, hi] = slice_bounds(len, seg, p * n);
-      EXPECT_EQ(s.v, Vec(want.begin() + lo, want.begin() + hi));
+      auto [lo, hi] = bounds(len, seg, p * n);
+      EXPECT_EQ(std::any_cast<const CountedSeg&>(s).v,
+                Vec(want.begin() + lo, want.begin() + hi));
     }
   }
   got.clear();
   EXPECT_EQ(CountedSeg::live, baseline);
+}
+
+// The one-segment-per-rank layouts (halving, pairwise): rank i owns
+// segment i of the reduced vector.
+void expect_rank_i_owns_segment_i(const std::vector<std::vector<Seg>>& got,
+                                  const Vec& want) {
+  for (std::size_t r = 0; r < got.size(); ++r) {
+    ASSERT_EQ(got[r].size(), 1u) << "rank " << r;
+    EXPECT_EQ(got[r][0].first, static_cast<int>(r));
+  }
+  EXPECT_EQ(gather(got), want);
 }
 
 class HalvingRsCorrectness : public ::testing::TestWithParam<int> {};
@@ -293,25 +268,14 @@ TEST_P(HalvingRsCorrectness, MatchesSequentialReduce) {
   for (int r = 0; r < n; ++r) locals.push_back(make_value(r, len));
   const Vec want = expected_sum(n, len);
 
-  std::vector<std::optional<Seg<Vec>>> got(static_cast<std::size_t>(n));
+  std::vector<std::vector<Seg>> got(static_cast<std::size_t>(n));
   auto body = [&](int rank) -> Task<void> {
-    auto ops = vec_ops(locals[static_cast<std::size_t>(rank)], len);
-    got[static_cast<std::size_t>(rank)] =
-        co_await halving_reduce_scatter(*w.c, rank, ops);
+    auto ops = seg_ops(locals[static_cast<std::size_t>(rank)]);
+    auto seg = co_await halving_reduce_scatter(*w.c, rank, ops);
+    if (seg) got[static_cast<std::size_t>(rank)].push_back(std::move(*seg));
   };
   w.sim->run_task(run_all_ranks(*w.c, body));
-
-  for (int r = 0; r < n; ++r) {
-    ASSERT_TRUE(got[static_cast<std::size_t>(r)].has_value());
-    auto& [seg, v] = *got[static_cast<std::size_t>(r)];
-    EXPECT_EQ(seg, r);  // rank i owns segment i
-    auto [lo, hi] = slice_bounds(len, seg, n);
-    ASSERT_EQ(static_cast<int>(v.size()), hi - lo);
-    for (int i = lo; i < hi; ++i) {
-      EXPECT_EQ(v[static_cast<std::size_t>(i - lo)],
-                want[static_cast<std::size_t>(i)]);
-    }
-  }
+  expect_rank_i_owns_segment_i(got, want);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, HalvingRsCorrectness,
@@ -328,25 +292,14 @@ TEST_P(PairwiseRsCorrectness, MatchesSequentialReduce) {
   for (int r = 0; r < n; ++r) locals.push_back(make_value(r, len));
   const Vec want = expected_sum(n, len);
 
-  std::vector<std::optional<Seg<Vec>>> got(static_cast<std::size_t>(n));
+  std::vector<std::vector<Seg>> got(static_cast<std::size_t>(n));
   auto body = [&](int rank) -> Task<void> {
-    auto ops = vec_ops(locals[static_cast<std::size_t>(rank)], len);
-    got[static_cast<std::size_t>(rank)] =
-        co_await pairwise_reduce_scatter(*w.c, rank, ops);
+    auto ops = seg_ops(locals[static_cast<std::size_t>(rank)]);
+    got[static_cast<std::size_t>(rank)].push_back(
+        co_await pairwise_reduce_scatter(*w.c, rank, ops));
   };
   w.sim->run_task(run_all_ranks(*w.c, body));
-
-  for (int r = 0; r < n; ++r) {
-    ASSERT_TRUE(got[static_cast<std::size_t>(r)].has_value());
-    auto& [seg, v] = *got[static_cast<std::size_t>(r)];
-    EXPECT_EQ(seg, r);
-    auto [lo, hi] = slice_bounds(len, seg, n);
-    ASSERT_EQ(static_cast<int>(v.size()), hi - lo);
-    for (int i = lo; i < hi; ++i) {
-      EXPECT_EQ(v[static_cast<std::size_t>(i - lo)],
-                want[static_cast<std::size_t>(i)]);
-    }
-  }
+  expect_rank_i_owns_segment_i(got, want);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, PairwiseRsCorrectness,
@@ -361,9 +314,9 @@ TEST_P(TreeReduceCorrectness, RootGetsSum) {
   std::vector<Vec> locals;
   for (int r = 0; r < n; ++r) locals.push_back(make_value(r, len));
 
-  std::vector<std::optional<Vec>> got(static_cast<std::size_t>(n));
+  std::vector<std::optional<std::any>> got(static_cast<std::size_t>(n));
   auto body = [&](int rank) -> Task<void> {
-    auto ops = vec_ops(locals[static_cast<std::size_t>(rank)], len);
+    auto ops = seg_ops(locals[static_cast<std::size_t>(rank)]);
     got[static_cast<std::size_t>(rank)] = co_await binomial_reduce(
         *w.c, rank, Vec(locals[static_cast<std::size_t>(rank)]), ops);
   };
@@ -372,7 +325,7 @@ TEST_P(TreeReduceCorrectness, RootGetsSum) {
   for (int r = 0; r < n; ++r) {
     if (r == 0) {
       ASSERT_TRUE(got[0].has_value());
-      EXPECT_EQ(*got[0], expected_sum(n, len));
+      EXPECT_EQ(std::any_cast<const Vec&>(*got[0]), expected_sum(n, len));
     } else {
       EXPECT_FALSE(got[static_cast<std::size_t>(r)].has_value());
     }
@@ -395,10 +348,9 @@ TEST_P(AllreduceCorrectness, EveryRankGetsFullSum) {
 
   std::vector<Vec> got(static_cast<std::size_t>(n));
   auto body = [&](int rank) -> Task<void> {
-    auto ops = vec_ops(locals[static_cast<std::size_t>(rank)], len);
-    got[static_cast<std::size_t>(rank)] =
-        co_await CollectiveRegistry<Vec>::instance().allreduce(
-            AlgoId::kRabenseifner, *w.c, rank, ops);
+    auto ops = seg_ops(locals[static_cast<std::size_t>(rank)]);
+    got[static_cast<std::size_t>(rank)] = std::any_cast<Vec>(
+        co_await allreduce(AlgoId::kRabenseifner, *w.c, rank, ops));
   };
   w.sim->run_task(run_all_ranks(*w.c, body));
   for (int r = 0; r < n; ++r) {
@@ -424,14 +376,10 @@ Time time_ring_rs(int n, int p, const std::vector<int>& rank_to_host,
   const int len = 256;  // real elements, scaled
   std::vector<Vec> locals;
   for (int r = 0; r < n; ++r) locals.push_back(make_value(r, len));
+  const double scale =
+      static_cast<double>(modeled_bytes) / (len * sizeof(std::int64_t));
   auto body = [&](int rank) -> Task<void> {
-    auto ops = vec_ops(locals[static_cast<std::size_t>(rank)], len);
-    const double scale =
-        static_cast<double>(modeled_bytes) / (len * sizeof(std::int64_t));
-    ops.bytes = [scale](const Vec& v) {
-      return static_cast<std::uint64_t>(
-          static_cast<double>(v.size() * sizeof(std::int64_t)) * scale);
-    };
+    auto ops = seg_ops(locals[static_cast<std::size_t>(rank)], scale);
     (void)co_await ring_reduce_scatter(*w.c, rank, ops);
   };
   w.sim->run_task(run_all_ranks(*w.c, body));
@@ -474,11 +422,7 @@ TEST(CollectiveTiming, RingBeatsTreeForLargeMessages) {
     std::vector<Vec> locals;
     for (int r = 0; r < n; ++r) locals.push_back(make_value(r, len));
     auto body = [&](int rank) -> Task<void> {
-      auto ops = vec_ops(locals[static_cast<std::size_t>(rank)], len);
-      ops.bytes = [scale](const Vec& v) {
-        return static_cast<std::uint64_t>(
-            static_cast<double>(v.size() * sizeof(std::int64_t)) * scale);
-      };
+      auto ops = seg_ops(locals[static_cast<std::size_t>(rank)], scale);
       if (ring) {
         (void)co_await ring_reduce_scatter(*w.c, rank, ops);
       } else {
@@ -533,34 +477,17 @@ Vec registry_rs(AlgoId algo, int n, int p, int len, Time& end) {
   World w(n, p);
   std::vector<Vec> locals;
   for (int r = 0; r < n; ++r) locals.push_back(make_value(r, len));
-  std::vector<std::vector<Seg<Vec>>> got(static_cast<std::size_t>(n));
+  std::vector<std::vector<Seg>> got(static_cast<std::size_t>(n));
   auto body = [&](int rank) -> Task<void> {
-    auto ops = vec_ops(locals[static_cast<std::size_t>(rank)], len);
+    auto ops = seg_ops(locals[static_cast<std::size_t>(rank)]);
     got[static_cast<std::size_t>(rank)] =
-        co_await CollectiveRegistry<Vec>::instance().reduce_scatter(
-            algo, *w.c, rank, ops);
+        co_await reduce_scatter(algo, *w.c, rank, ops);
   };
   w.sim->run_task(run_all_ranks(*w.c, body));
   end = w.sim->now();
   // Segment counts differ per algorithm (P*N for ring, N for halving /
-  // pairwise, 1 for the funnel); infer from what came back.
-  int nseg = 0;
-  std::size_t have = 0;
-  for (auto& segs : got) have += segs.size();
-  nseg = static_cast<int>(have);
-  Vec assembled(static_cast<std::size_t>(len),
-                std::numeric_limits<std::int64_t>::min());
-  for (auto& segs : got) {
-    for (auto& [seg, v] : segs) {
-      auto [lo, hi] = slice_bounds(len, seg, nseg);
-      EXPECT_EQ(static_cast<int>(v.size()), hi - lo);
-      for (int i = lo; i < hi; ++i) {
-        assembled[static_cast<std::size_t>(i)] =
-            v[static_cast<std::size_t>(i - lo)];
-      }
-    }
-  }
-  return assembled;
+  // pairwise, 1 for the funnel); gather takes whatever came back.
+  return gather(got);
 }
 
 // Runs the registry's allreduce under `algo`; every rank must return the
@@ -572,10 +499,9 @@ Vec registry_ar(AlgoId algo, int n, int p, int len, Time& end) {
   for (int r = 0; r < n; ++r) locals.push_back(make_value(r, len));
   std::vector<Vec> got(static_cast<std::size_t>(n));
   auto body = [&](int rank) -> Task<void> {
-    auto ops = vec_ops(locals[static_cast<std::size_t>(rank)], len);
+    auto ops = seg_ops(locals[static_cast<std::size_t>(rank)]);
     got[static_cast<std::size_t>(rank)] =
-        co_await CollectiveRegistry<Vec>::instance().allreduce(algo, *w.c,
-                                                               rank, ops);
+        std::any_cast<Vec>(co_await allreduce(algo, *w.c, rank, ops));
   };
   w.sim->run_task(run_all_ranks(*w.c, body));
   end = w.sim->now();
@@ -651,9 +577,9 @@ TEST(Registry, UnregisteredAlgoThrows) {
   World w(2, 1);
   Vec local = make_value(0, 8);
   auto body = [&](int rank) -> Task<void> {
-    auto ops = vec_ops(local, 8);
-    (void)co_await CollectiveRegistry<Vec>::instance().reduce_scatter(
-        AlgoId::kAuto, *w.c, rank, ops);  // kAuto must be resolved upstream
+    auto ops = seg_ops(local);
+    (void)co_await reduce_scatter(AlgoId::kAuto, *w.c, rank,
+                                  ops);  // kAuto must be resolved upstream
   };
   EXPECT_THROW(w.sim->run_task(run_all_ranks(*w.c, body)),
                std::invalid_argument);

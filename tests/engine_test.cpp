@@ -936,5 +936,46 @@ TEST(ConfigValidation, RejectsHeartbeatTimeoutNotBelowExecutorTimeout) {
       "heartbeat_timeout");
 }
 
+// Schedules are armed when the cluster is built, so an executor id outside
+// the cluster is rejected there, naming the schedule, event and executor.
+void expect_cluster_rejects(const EngineConfig& cfg, const char* what) {
+  Simulator sim;
+  try {
+    Cluster cl(sim, small_spec(), cfg);
+    ADD_FAILURE() << "cluster accepted " << what;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ConfigValidation, RejectsKillOfUnknownExecutor) {
+  EngineConfig cfg;
+  cfg.fault_schedule.kill_executor(sim::milliseconds(1), 1)
+      .kill_executor(sim::milliseconds(2), 2)
+      .kill_executor(sim::milliseconds(3), 99);
+  expect_cluster_rejects(
+      cfg, "FaultSchedule event 2: executor 99 >= num_executors 4");
+}
+
+TEST(ConfigValidation, RejectsChannelFaultToUnknownExecutor) {
+  EngineConfig cfg;
+  cfg.fault_schedule.sever_channel(sim::milliseconds(1), 0, 4);
+  expect_cluster_rejects(
+      cfg, "FaultSchedule event 0: executor 4 >= num_executors 4");
+  cfg.fault_schedule = {};
+  cfg.fault_schedule.delay_channel(sim::milliseconds(1), -1, 0, 0,
+                                   sim::milliseconds(1));
+  expect_cluster_rejects(cfg, "FaultSchedule event 0: executor -1 < 0");
+}
+
+TEST(ConfigValidation, RejectsJoinOfUnknownExecutor) {
+  EngineConfig cfg;
+  cfg.membership.decommission(sim::milliseconds(1), 3)
+      .join(sim::milliseconds(2), 7);
+  expect_cluster_rejects(
+      cfg, "MembershipSchedule event 1: executor 7 >= num_executors 4");
+}
+
 }  // namespace
 }  // namespace sparker::engine

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
@@ -120,7 +121,7 @@ TEST_P(BroadcastCorrectness, EveryRankReceivesValue) {
   std::iota(hosts.begin(), hosts.end(), 0);
   comm::Communicator c(fabric, hosts, net::LinkParams{}, 1);
   auto payload = std::make_shared<std::string>("model-v7");
-  std::vector<std::string> got(static_cast<std::size_t>(n));
+  std::vector<std::shared_ptr<const void>> got(static_cast<std::size_t>(n));
   auto body = [&](int rank) -> Task<void> {
     std::shared_ptr<std::string> mine;  // hoisted: no ?: temporary in the
     if (rank == 0) mine = payload;      // co_await expression (GCC 12)
@@ -128,7 +129,8 @@ TEST_P(BroadcastCorrectness, EveryRankReceivesValue) {
         c, rank, /*root=*/0, mine, 4096);
   };
   sim.run_task(comm::run_all_ranks(c, body));
-  for (const auto& s : got) EXPECT_EQ(s, "model-v7");
+  // Every rank holds the root's one value, uncopied.
+  for (const auto& v : got) EXPECT_EQ(v.get(), payload.get());
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, BroadcastCorrectness,
@@ -149,7 +151,9 @@ TEST(BroadcastCorrectness, NonZeroRootWorks) {
   auto body = [&](int rank) -> Task<void> {
     std::shared_ptr<int> mine;
     if (rank == root) mine = payload;
-    sum += co_await comm::binomial_broadcast(c, rank, root, mine, 64);
+    const std::shared_ptr<const void> v =
+        co_await comm::binomial_broadcast(c, rank, root, mine, 64);
+    sum += *static_cast<const int*>(v.get());
   };
   sim.run_task(comm::run_all_ranks(c, body));
   EXPECT_EQ(sum, 1234 * n);
@@ -181,6 +185,53 @@ TEST(EngineBroadcast, StoresOnEveryExecutorAndScalesWithBytes) {
   sim.run_task(job2());
   const sim::Time big_t = sim.now() - small_t;
   EXPECT_GT(big_t, small_t * 4);
+}
+
+// A broadcast value that counts its copies (moves are free).
+struct CopyCounted {
+  static inline int copies = 0;
+  int v = 0;
+
+  CopyCounted() = default;
+  explicit CopyCounted(int x) : v(x) {}
+  CopyCounted(const CopyCounted& o) : v(o.v) { ++copies; }
+  CopyCounted(CopyCounted&&) = default;
+  CopyCounted& operator=(const CopyCounted& o) {
+    v = o.v;
+    ++copies;
+    return *this;
+  }
+  CopyCounted& operator=(CopyCounted&&) = default;
+};
+
+TEST(EngineBroadcast, CopiesOncePerStoringExecutorNeverPerBlock) {
+  // The relay shares one value across ranks and blocks; only storing it
+  // copies, once per executor, so every executor owns its own replica.
+  Simulator sim;
+  net::ClusterSpec spec = net::ClusterSpec::bic(2);
+  spec.fabric.gc.enabled = false;
+  engine::Cluster cl(sim, spec);
+  auto value = std::make_shared<CopyCounted>(7);
+  constexpr std::int64_t kKey = 77;
+  auto job = [&](std::int64_t key) -> Task<void> {
+    // 32 MB travels as eight 4 MB relay blocks.
+    co_await engine::broadcast_value(cl, value, 32ull << 20, key);
+  };
+  CopyCounted::copies = 0;
+  sim.run_task(job(-1));
+  EXPECT_EQ(CopyCounted::copies, 0);
+  sim.run_task(job(kKey));
+  EXPECT_EQ(CopyCounted::copies, cl.num_executors());
+  std::vector<const void*> replicas;
+  for (int e = 0; e < cl.num_executors(); ++e) {
+    auto& obj = cl.executor(e).mutable_object(kKey, sim);
+    ASSERT_TRUE(obj.value);
+    EXPECT_EQ(std::static_pointer_cast<CopyCounted>(obj.value)->v, 7);
+    replicas.push_back(obj.value.get());
+  }
+  replicas.push_back(value.get());
+  std::sort(replicas.begin(), replicas.end());
+  EXPECT_EQ(std::unique(replicas.begin(), replicas.end()), replicas.end());
 }
 
 // ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <any>
 #include <cstdint>
 #include <memory>
 #include <numeric>
@@ -82,18 +83,15 @@ Vec expected_sum(int n, int len) {
   return v;
 }
 
-comm::SegOps<Vec> vec_ops(const Vec& local, int len) {
-  comm::SegOps<Vec> ops;
-  ops.split = [&local, len](int seg, int nseg) {
-    auto [lo, hi] = bench::vec_sai::bounds(len, seg, nseg);
-    return Vec(local.begin() + lo, local.begin() + hi);
+// vec_sai's SegOps, with a reduceOp that also checks the sizes match.
+comm::SegOps vec_ops(const Vec& local) {
+  comm::SegOps ops = bench::vec_sai::seg_ops(local);
+  ops.reduce_into = [](std::any& dst, const std::any& src) {
+    Vec& d = std::any_cast<Vec&>(dst);
+    const Vec& s = std::any_cast<const Vec&>(src);
+    ASSERT_EQ(d.size(), s.size());
+    bench::vec_sai::add(d, s);
   };
-  ops.reduce_into = [](Vec& dst, const Vec& src) {
-    ASSERT_EQ(dst.size(), src.size());
-    for (std::size_t i = 0; i < dst.size(); ++i) dst[i] += src[i];
-  };
-  ops.bytes = bench::vec_sai::bytes();
-  ops.concat = bench::vec_sai::concat;
   return ops;
 }
 
@@ -126,12 +124,12 @@ Outcome run_collective(Coll coll, int n, int p, int len,
   for (int r = 0; r < n; ++r) locals.push_back(make_value(r, len));
 
   Outcome out;
-  std::vector<std::vector<comm::Seg<Vec>>> seg_results(
+  std::vector<std::vector<comm::Seg>> seg_results(
       static_cast<std::size_t>(n));
   std::vector<std::optional<Vec>> whole_results(static_cast<std::size_t>(n));
 
   auto body = [&](int rank) -> Task<void> {
-    auto ops = vec_ops(locals[static_cast<std::size_t>(rank)], len);
+    auto ops = vec_ops(locals[static_cast<std::size_t>(rank)]);
     switch (coll) {
       case Coll::kRingRS:
         seg_results[static_cast<std::size_t>(rank)] =
@@ -139,14 +137,18 @@ Outcome run_collective(Coll coll, int n, int p, int len,
         break;
       case Coll::kAllreduce:
         whole_results[static_cast<std::size_t>(rank)] =
-            co_await comm::CollectiveRegistry<Vec>::instance().allreduce(
-                comm::AlgoId::kRabenseifner, *w.c, rank, ops);
+            std::any_cast<Vec>(co_await comm::allreduce(
+                comm::AlgoId::kRabenseifner, *w.c, rank, ops));
         break;
-      case Coll::kBinomial:
-        whole_results[static_cast<std::size_t>(rank)] =
-            co_await comm::binomial_reduce(
-                *w.c, rank, Vec(locals[static_cast<std::size_t>(rank)]), ops);
+      case Coll::kBinomial: {
+        auto whole = co_await comm::binomial_reduce(
+            *w.c, rank, Vec(locals[static_cast<std::size_t>(rank)]), ops);
+        if (whole) {
+          whole_results[static_cast<std::size_t>(rank)] =
+              std::any_cast<Vec>(std::move(*whole));
+        }
         break;
+      }
       case Coll::kHalving: {
         auto seg = co_await comm::halving_reduce_scatter(*w.c, rank, ops);
         if (seg) {
@@ -176,22 +178,11 @@ Outcome run_collective(Coll coll, int n, int p, int len,
     case Coll::kRingRS:
     case Coll::kHalving:
     case Coll::kPairwise: {
-      const int nseg = coll == Coll::kRingRS ? p * n : n;
-      Vec assembled(static_cast<std::size_t>(len), 0);
-      int seen = 0;
-      for (auto& per_rank : seg_results) {
-        for (auto& [seg, v] : per_rank) {
-          auto [lo, hi] = bench::vec_sai::bounds(len, seg, nseg);
-          EXPECT_EQ(static_cast<int>(v.size()), hi - lo);
-          for (int i = lo; i < hi; ++i) {
-            assembled[static_cast<std::size_t>(i)] =
-                v[static_cast<std::size_t>(i - lo)];
-          }
-          ++seen;
-        }
-      }
-      EXPECT_EQ(seen, nseg);
-      out.assembled = std::move(assembled);
+      std::size_t segs = 0;
+      for (const auto& per_rank : seg_results) segs += per_rank.size();
+      EXPECT_EQ(segs, static_cast<std::size_t>(coll == Coll::kRingRS ? p * n
+                                                                     : n));
+      out.assembled = bench::vec_sai::gather(seg_results);
       break;
     }
     case Coll::kAllreduce: {
@@ -326,37 +317,26 @@ INSTANTIATE_TEST_SUITE_P(AllCollectives, CollectiveFaultSweep,
 // Runs one ring_reduce_scatter in an existing world, returning (duration,
 // assembled value). Used to show a degraded channel slows the ring and a
 // healed one restores baseline timing within the same world.
-std::pair<Duration, Vec> ring_once(World& w, int n, int p, int len) {
+std::pair<Duration, Vec> ring_once(World& w, int n, int len) {
   std::vector<Vec> locals;
   for (int r = 0; r < n; ++r) locals.push_back(make_value(r, len));
-  std::vector<std::vector<comm::Seg<Vec>>> seg_results(
+  std::vector<std::vector<comm::Seg>> seg_results(
       static_cast<std::size_t>(n));
   const Time start = w.sim->now();
   auto body = [&](int rank) -> Task<void> {
-    auto ops = vec_ops(locals[static_cast<std::size_t>(rank)], len);
+    auto ops = vec_ops(locals[static_cast<std::size_t>(rank)]);
     seg_results[static_cast<std::size_t>(rank)] =
         co_await comm::ring_reduce_scatter(*w.c, rank, ops);
   };
   w.sim->run_task(comm::run_all_ranks(*w.c, body));
-  const Duration took = w.sim->now() - start;
-  Vec assembled(static_cast<std::size_t>(len), 0);
-  for (auto& per_rank : seg_results) {
-    for (auto& [seg, v] : per_rank) {
-      auto [lo, hi] = bench::vec_sai::bounds(len, seg, p * n);
-      for (int i = lo; i < hi; ++i) {
-        assembled[static_cast<std::size_t>(i)] =
-            v[static_cast<std::size_t>(i - lo)];
-      }
-    }
-  }
-  return {took, assembled};
+  return {w.sim->now() - start, bench::vec_sai::gather(seg_results)};
 }
 
 TEST(ChannelFaults, DegradedRingChannelIsStrictlySlowerAndMonotonic) {
   const int n = 5, p = 2, len = 48;
   const Vec want = expected_sum(n, len);
   World baseline(n, p);
-  const auto [clean_dur, clean_val] = ring_once(baseline, n, p, len);
+  const auto [clean_dur, clean_val] = ring_once(baseline, n, len);
   ASSERT_EQ(clean_val, want);
 
   // The 0 -> 1 hop is on every ring pass: degrading it must slow the whole
@@ -365,7 +345,7 @@ TEST(ChannelFaults, DegradedRingChannelIsStrictlySlowerAndMonotonic) {
   for (double factor : {2.0, 4.0, 8.0}) {
     World w(n, p);
     w.fabric->faults().degrade_channel(0, 1, -1, factor);
-    const auto [dur, val] = ring_once(w, n, p, len);
+    const auto [dur, val] = ring_once(w, n, len);
     SCOPED_TRACE(::testing::Message() << "factor=" << factor);
     EXPECT_EQ(val, want);
     EXPECT_GT(dur, prev);
@@ -377,19 +357,19 @@ TEST(ChannelFaults, HealedChannelRestoresBaselineTiming) {
   const int n = 5, p = 2, len = 48;
   const Vec want = expected_sum(n, len);
   World baseline(n, p);
-  const auto [clean_dur, clean_val] = ring_once(baseline, n, p, len);
+  const auto [clean_dur, clean_val] = ring_once(baseline, n, len);
   ASSERT_EQ(clean_val, want);
 
   World w(n, p);
   w.fabric->faults().degrade_channel(0, 1, -1, 8.0);
-  const auto [slow_dur, slow_val] = ring_once(w, n, p, len);
+  const auto [slow_dur, slow_val] = ring_once(w, n, len);
   EXPECT_EQ(slow_val, want);
   EXPECT_GT(slow_dur, clean_dur);
 
   // Heal (restore the bandwidth multiplier to 1x) and rerun in the same
   // world: the ring's duration returns exactly to the fault-free baseline.
   w.fabric->faults().degrade_channel(0, 1, -1, 1.0);
-  const auto [healed_dur, healed_val] = ring_once(w, n, p, len);
+  const auto [healed_dur, healed_val] = ring_once(w, n, len);
   EXPECT_EQ(healed_val, want);
   EXPECT_EQ(healed_dur, clean_dur);
 }
