@@ -132,8 +132,8 @@ SegOps make_seg_ops(Cluster& cl, int job, bool encoded, int exec_id,
   // workers are live: the stage awaits every rank task, and each rank task
   // awaits all of its channel workers (as comm::run_all_ranks does), before
   // a failure is rethrown. Refold, migration and overlapped recovery — the
-  // only paths that comb_op into or reset per-executor values — run after
-  // that, between attempts.
+  // only paths that fold into, comb_op into or reset per-executor values —
+  // run after that, between attempts.
   if (encoded) {
     ops.split = [&spec, &local](int seg, int nseg) {
       return spec.encode(spec.split(local.get(), seg, nseg));
@@ -221,8 +221,8 @@ Duration modeled_cost(Cluster& cl, const ErasedSpec& spec, int pid,
 
 /// One modeled task attempt: launch_task, then the partition's modeled
 /// compute time. It models time and faults only — the real seqOp fold is
-/// `spec.fold`, which each consumer runs where it needs the value. Throws
-/// TaskFailed per the fault plan, or when the fault fabric kills the
+/// `spec.fold_into`, which each consumer runs where it needs the value.
+/// Throws TaskFailed per the fault plan, or when the fault fabric kills the
 /// executor before the task result is reported (that check is deliberately
 /// omniscient: a lost result is a physical fact, not a belief). If `ran_on`
 /// is non-null it receives the executor the task runs on as soon as it is
@@ -377,23 +377,25 @@ struct StageSink {
 };
 
 /// The IMM merge of one task result, run by the task's delivering attempt
-/// while it holds the executor's merge lock: the partition is folded here,
-/// merged into the shared value, and the task aggregator is destroyed
-/// before the caller's status-update hop. The lock therefore bounds live
-/// task aggregators at one per executor, beside the shared value.
+/// while it holds the executor's merge lock: the partition's rows fold
+/// straight into the shared value, priced as one merge of that value.
+/// There is no task aggregator, so no copy of `zero` and no comb_op per
+/// task; the executor's first merge creates its shared value.
 sim::Task<void> merge_task_result(Cluster& cl, const ErasedSpec& spec,
                                   int job, int task, int exec_id,
                                   Executor::MutableObject& obj) {
   if (!obj.value) obj.value = spec.copy(spec.zero);
-  const Agg agg = spec.fold(task);
-  const std::uint64_t mbytes = spec.bytes(agg.get());
-  const obs::SpanId merge = cl.trace().begin(
-      "reduce", "imm.merge", obs::exec_pid(exec_id), task,
-      {{"job", job}, {"bytes", static_cast<std::int64_t>(mbytes)}});
+  const std::uint64_t mbytes = spec.bytes(obj.value.get());
+  // A throwing seq_op aborts the job from inside the span; the scope still
+  // closes it.
+  obs::TraceSink::Scope merge(
+      cl.trace(),
+      cl.trace().begin(
+          "reduce", "imm.merge", obs::exec_pid(exec_id), task,
+          {{"job", job}, {"bytes", static_cast<std::int64_t>(mbytes)}}));
   co_await cl.simulator().sleep(cl.merge_cost(mbytes));
-  spec.comb(obj.value.get(), agg.get());
+  spec.fold_into(obj.value.get(), task);
   ++obj.merges;
-  cl.trace().end(merge);
 }
 
 /// One racing attempt of compute-stage task `task`: the primary, or a
@@ -403,12 +405,12 @@ sim::Task<void> merge_task_result(Cluster& cl, const ErasedSpec& spec,
 /// only `race` and the job-level `attempts` WaitGroup — never `st`.
 ///
 /// The stage kind (`imm`) fixes both policies:
-///  * result sink — a plain task folds its partition after the claim and
-///    ships the result serialized (Spark serializes every task result on
-///    completion, exactly the overhead IMM removes); an IMM task folds and
-///    merges into the executor's shared value under its merge lock
-///    (merge_task_result), so exactly one attempt per task ever merges. A
-///    task aggregator therefore lives from its fold to its merge;
+///  * result sink — a plain task folds its partition into a copy of `zero`
+///    after the claim and ships the result serialized (Spark serializes
+///    every task result on completion, exactly the overhead IMM removes);
+///    an IMM task folds straight into the executor's shared value under
+///    its merge lock (merge_task_result), so exactly one attempt per task
+///    ever folds and no IMM task has an aggregator of its own;
 ///  * failure policy — a failed plain primary retries in place (Spark's
 ///    task-level retry, up to max_task_attempts); a failed IMM primary
 ///    marks the stage failed, since IMM has no task-level recovery. A
@@ -491,7 +493,8 @@ sim::Task<void> race_attempt(Cluster& cl, const ErasedSpec& spec, int job,
       (void)cl.driver_loop().enqueue(sim::microseconds(20));
       st.ran_on[static_cast<std::size_t>(task)] = exec;
     } else {
-      Agg agg = spec.fold(task);
+      Agg agg = spec.copy(spec.zero);
+      spec.fold_into(agg.get(), task);
       const std::uint64_t nbytes = spec.bytes(agg.get());
       const obs::SpanId ser = cl.trace().begin(
           "ser", "ser.result", obs::exec_pid(exec), task,
@@ -571,10 +574,11 @@ sim::Task<std::vector<Blob>> compute_stage_plain(Cluster& cl,
 /// Reduced-result stage (In-Memory Merge): task results fold into one
 /// shared value per executor, unserialized; any failure — an injected task
 /// fault, or an executor dying with partials merged into it — restarts the
-/// whole stage after clearing the partials (paper Section 3.2). If
-/// `task_exec` is non-null it receives, per partition, the executor whose
-/// shared value absorbed that partition (the ring-stage retry uses this to
-/// recompute exactly the partials a later death loses).
+/// whole stage after clearing the partials (paper Section 3.2). A
+/// job-aborting error clears them too, so no partly folded value outlives
+/// the job. If `task_exec` is non-null it receives, per partition, the
+/// executor whose shared value absorbed that partition (the ring-stage
+/// retry uses this to recompute exactly the partials a later death loses).
 sim::Task<std::vector<Blob>> compute_stage_imm(Cluster& cl,
                                                const ErasedSpec& spec, int job,
                                                AggMetrics* m,
@@ -583,6 +587,11 @@ sim::Task<std::vector<Blob>> compute_stage_imm(Cluster& cl,
   const int p = spec.partitions;
   const std::int64_t key = static_cast<std::int64_t>(job);
   obs::TraceSink& tr = cl.trace();
+  const auto clear_partials = [&cl, key] {
+    for (int e = 0; e < cl.num_executors(); ++e) {
+      cl.executor(e).clear_mutable_object(key);
+    }
+  };
   for (int stage_attempt = 0;; ++stage_attempt) {
     obs::TraceSink::Scope stage_scope(
         tr, tr.begin("stage", "stage.compute", obs::kDriverPid, 0,
@@ -594,6 +603,7 @@ sim::Task<std::vector<Blob>> compute_stage_imm(Cluster& cl,
     co_await run_compute_race(cl, spec, job, /*imm=*/true, stage_attempt, st,
                               m, attempts);
     if (st.error) {
+      clear_partials();
       stage_scope.close({{"failed", 1}});
       std::rethrow_exception(st.error);
     }
@@ -622,9 +632,7 @@ sim::Task<std::vector<Blob>> compute_stage_imm(Cluster& cl,
     stage_scope.close({{"failed", 1}});
     tr.instant("recover", "stage.restart", obs::kDriverPid, 0,
                {{"job", job}, {"attempt", stage_attempt}});
-    for (int e = 0; e < cl.num_executors(); ++e) {
-      cl.executor(e).clear_mutable_object(key);
-    }
+    clear_partials();
     if (stage_attempt + 1 >= cl.config().max_stage_attempts) {
       co_await attempts.wait();
       throw std::runtime_error("stage exceeded max attempts; job aborted");
@@ -739,16 +747,16 @@ struct RingSnapshot {
   std::vector<int> exec_rank;  ///< executor id -> rank, -1 if outside.
 };
 
-/// Folds partition `pid` into executor `e`'s merged value — the survivor a
-/// refold placed it on — and records `e` as the partition's holder.
+/// Folds partition `pid` in place into executor `e`'s merged value — the
+/// survivor a refold placed it on — after one merge of that value, as
+/// merge_task_result does, and records `e` as the partition's holder.
 sim::Task<void> fold_into_survivor(Cluster& cl, const ErasedSpec& spec,
                                    int pid, int e, std::vector<Agg>& per_exec,
                                    std::vector<std::vector<int>>& owned) {
   auto& dst = per_exec[static_cast<std::size_t>(e)];
   if (!dst) dst = spec.copy(spec.zero);
-  const Agg agg = spec.fold(pid);
-  co_await cl.simulator().sleep(cl.merge_cost(spec.bytes(agg.get())));
-  spec.comb(dst.get(), agg.get());
+  co_await cl.simulator().sleep(cl.merge_cost(spec.bytes(dst.get())));
+  spec.fold_into(dst.get(), pid);
   owned[static_cast<std::size_t>(e)].push_back(pid);
 }
 
@@ -1415,7 +1423,7 @@ sim::Task<void> broadcast_erased(Cluster& cl, std::shared_ptr<void> value,
                     {"key", store_key}}));
   // Remember what was shipped so a mid-campaign joiner can be warmed up
   // with the same resident state (Cluster::sync_membership).
-  cl.note_broadcast(store_key, value, bytes);
+  cl.note_broadcast(store_key, value, bytes, copy);
   // Seed: driver ships the blob to the executor at ring rank 0.
   const int seed_exec = cl.ring_executor_of_rank(ring, 0);
   co_await cl.fetch_blob(Cluster::kDriver, seed_exec, bytes);

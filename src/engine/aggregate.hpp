@@ -43,7 +43,16 @@ namespace sparker::engine {
 template <typename T, typename U>
 struct TreeAggSpec {
   U zero{};
-  /// seqOp: folds one row into a task aggregator that starts from `zero`.
+  /// seqOp: folds one row into an aggregator. A plain stage folds each
+  /// partition into its own copy of `zero`. Under IMM (kTreeImm and the
+  /// split stages) there is no task aggregator: rows fold straight into the
+  /// executor's merged value, and no comb_op runs per task. A spec must
+  /// therefore satisfy `fold(a, rows) == comb_op(a, fold(zero, rows))` for
+  /// every aggregator `a` (Chen et al.'s law for Spark aggregation). Integer
+  /// sums satisfy it exactly; double sums only up to rounding, because
+  /// under IMM they add in row merge order within an executor — each
+  /// absorbed partition's rows in order, partitions in the order their
+  /// winning attempts take the merge lock — not one task sum at a time.
   /// The engine folds a partition only for the attempt that delivers its
   /// result, at the point that result is merged or shipped (under IMM,
   /// inside the executor's merge lock); losing speculative duplicates and
@@ -51,7 +60,9 @@ struct TreeAggSpec {
   /// the aggregator and the row only — as CachedRdd generators must be.
   std::function<void(U&, const T&)> seq_op;
   std::function<void(U&, const U&)> comb_op;
-  /// Modeled serialized size of an aggregator.
+  /// Modeled serialized size of an aggregator. The IMM merge of a task is
+  /// priced from the executor's merged value, so this must depend on the
+  /// aggregator's shape (its length), not on the rows it has absorbed.
   std::function<std::uint64_t(const U&)> bytes;
   /// Modeled compute time of folding one partition (the workload model).
   std::function<Duration(int pid, const std::vector<T>&)> partition_cost;
@@ -121,8 +132,10 @@ struct ErasedSpec {
   int partitions = 0;
   std::function<int(int pid)> preferred_executor;
   std::function<Duration(int pid)> partition_cost;  ///< optional.
-  /// seqOp over partition `pid`'s rows, from a copy of `zero`.
-  std::function<std::shared_ptr<void>(int pid)> fold;
+  /// seqOp over partition `pid`'s rows, in place into the aggregator
+  /// `acc`: the one loop over a partition. An IMM stage folds straight into
+  /// the executor's merged value; a plain stage folds into a copy of `zero`.
+  std::function<void(void* acc, int pid)> fold_into;
   const void* zero = nullptr;
   std::function<std::shared_ptr<void>(const void*)> copy;
   std::function<void(void*, const void*)> comb;
@@ -169,10 +182,9 @@ ErasedSpec erase(CachedRdd<T>& rdd, const TreeAggSpec<T, U>& spec) {
       return spec.partition_cost(pid, rdd.partition(pid));
     };
   }
-  e.fold = [&rdd, &spec](int pid) -> std::shared_ptr<void> {
-    auto agg = std::make_shared<U>(spec.zero);
-    for (const T& row : rdd.partition(pid)) spec.seq_op(*agg, row);
-    return agg;
+  e.fold_into = [&rdd, &spec](void* acc, int pid) {
+    U& agg = *static_cast<U*>(acc);
+    for (const T& row : rdd.partition(pid)) spec.seq_op(agg, row);
   };
   e.zero = &spec.zero;
   e.copy = [](const void* u) -> std::shared_ptr<void> {

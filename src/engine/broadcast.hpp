@@ -16,11 +16,8 @@ namespace sparker::engine {
 
 namespace detail {
 
-/// Makes an executor's own copy of a broadcast value.
-using CopyValue = std::shared_ptr<void> (*)(const void* value);
-
 /// broadcast_value over the erased value; compiled in aggregate.cpp.
-/// `copy` runs once per storing executor.
+/// `copy` runs once per storing executor, and once per later joiner.
 sim::Task<void> broadcast_erased(Cluster& cl, std::shared_ptr<void> value,
                                  std::uint64_t bytes, std::int64_t store_key,
                                  JobOptions opt, CopyValue copy);

@@ -154,9 +154,11 @@ sim::Task<void> Cluster::sync_membership(bool complete_drains) {
         {{"executor", e}, {"bytes", static_cast<std::int64_t>(bytes)}});
     if (bytes > 0) co_await fetch_blob(kDriver, e, bytes);
     // Keyed broadcasts are mutable-object-backed replicas; the joiner gets
-    // its copy so tasks landing on it find the same resident state.
+    // its own copy, as each executor the relay reached did, so tasks
+    // landing on it find the same resident state.
     for (const auto& [key, entry] : bcast_keyed_) {
-      executor(e).mutable_object(key, *sim_).value = entry.value;
+      executor(e).mutable_object(key, *sim_).value =
+          entry.copy(entry.value.get());
     }
     trace_->end(span);
     membership_->complete_warmup(e);
@@ -181,9 +183,9 @@ int Cluster::ring_successor(int exec_id) {
 }
 
 void Cluster::note_broadcast(std::int64_t key, std::shared_ptr<void> value,
-                             std::uint64_t bytes) {
+                             std::uint64_t bytes, detail::CopyValue copy) {
   if (key >= 0) {
-    bcast_keyed_[key] = BroadcastEntry{std::move(value), bytes};
+    bcast_keyed_[key] = BroadcastEntry{std::move(value), bytes, copy};
   } else {
     bcast_latest_bytes_ = bytes;
   }

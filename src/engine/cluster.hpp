@@ -36,6 +36,11 @@ using sim::Time;
 
 class JobRing;
 
+namespace detail {
+/// Makes an executor's own copy of a broadcast value.
+using CopyValue = std::shared_ptr<void> (*)(const void* value);
+}  // namespace detail
+
 /// One executor process: task slots plus the mutable object manager
 /// (paper Section 4: "Mutable object manager stores intermediate states
 /// shared by tasks on the same executor").
@@ -179,10 +184,11 @@ class Cluster {
 
   /// Records broadcast state resident on the executors so join warm-up can
   /// size (and for keyed broadcasts, replicate) the transfer. `key >= 0`
-  /// entries are mutable-object-backed replicas; `key < 0` tracks the
-  /// latest anonymous broadcast (the current model) by size only.
+  /// entries are mutable-object-backed replicas, and `copy` gives each
+  /// joiner its own; `key < 0` tracks the latest anonymous broadcast (the
+  /// current model) by size only.
   void note_broadcast(std::int64_t key, std::shared_ptr<void> value,
-                      std::uint64_t bytes);
+                      std::uint64_t bytes, detail::CopyValue copy);
 
   /// Total bytes a joiner must fetch during warm-up.
   std::uint64_t resident_broadcast_bytes() const {
@@ -358,6 +364,7 @@ class Cluster {
   struct BroadcastEntry {
     std::shared_ptr<void> value;
     std::uint64_t bytes = 0;
+    detail::CopyValue copy = nullptr;
   };
   std::unordered_map<std::int64_t, BroadcastEntry> bcast_keyed_;
   std::uint64_t bcast_latest_bytes_ = 0;

@@ -2,13 +2,15 @@
 // aggregation with a sequential reference, Spark's tree reduction schedule,
 // fault-injection semantics (task retry vs stage restart), stragglers, the
 // timing relationships the paper's Figure 16 depends on, the aggregator
-// lifetime contract (which attempt folds a partition, and how many task
-// aggregators are alive at once), speculation timing tasks from their core
-// slot, and the rejection of invalid engine settings at job start.
+// lifetime contract (which attempt folds a partition, how many aggregators
+// are alive at once, and IMM tasks folding in place without a comb_op),
+// speculation timing tasks from their core slot, and the rejection of
+// invalid engine settings at job start.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -482,9 +484,10 @@ TEST(TreeAggregate, ResultsAreAttributedToTheExecutorTheTaskRanOn) {
 
 // ---------------------------------------------------------------------------
 // Aggregator lifetimes. A partition is folded only by the attempt that
-// delivers it, at the point the result is merged (IMM) or shipped (plain),
-// so an IMM executor holds its shared value plus at most the one task
-// aggregator being merged, and losing or failed attempts never fold.
+// delivers it, at the point the result is merged (IMM) or shipped (plain).
+// An IMM task folds straight into its executor's shared value, so an IMM
+// executor holds that one aggregator and nothing per task, and losing or
+// failed attempts never fold.
 // ---------------------------------------------------------------------------
 
 // A Vec aggregator that counts its live instances.
@@ -570,7 +573,7 @@ int counted_job_peak(AggMode mode, bool speculation, AggMetrics& m,
   return CountedVec::peak - baseline;
 }
 
-TEST(AggregatorLifetimes, ImmStageHoldsAtMostTwoAggregatorsPerExecutor) {
+TEST(AggregatorLifetimes, ImmStageHoldsOneAggregatorPerExecutor) {
   for (const bool speculation : {false, true}) {
     SCOPED_TRACE(speculation ? "speculation on" : "speculation off");
     AggMetrics m;
@@ -578,20 +581,23 @@ TEST(AggregatorLifetimes, ImmStageHoldsAtMostTwoAggregatorsPerExecutor) {
     if (speculation) {
       EXPECT_GE(m.speculative_launches, 1);
     }
-    EXPECT_LE(peak, 2 * 4);  // two per executor, 4 executors.
+    EXPECT_LE(peak, 4);  // one per executor, 4 executors.
   }
 }
 
-// The other entry points, pinned to the peaks measured before the engine
-// was type-erased, so an erased path that retains an extra copy fails. A
-// plain tree stage ships one result per partition (32) before combining.
+// The other entry points, pinned to measured peaks so a path that retains
+// an extra copy fails: the plain tree's before the engine was type-erased,
+// kTreeImm's and split_allreduce's since IMM tasks fold in place. A plain
+// tree stage ships one result per partition (32) before combining; a
+// kTreeImm job peaks when the driver's accumulator copies the first of the
+// merged values.
 TEST(AggregatorLifetimes, TreeAggregateHoldsNoMoreThanBeforeErasure) {
   for (const bool speculation : {false, true}) {
     SCOPED_TRACE(speculation ? "speculation on" : "speculation off");
     for (const AggMode mode : {AggMode::kTree, AggMode::kTreeImm}) {
       SCOPED_TRACE(to_string(mode));
       AggMetrics m;
-      const int before = mode == AggMode::kTree ? 35 : speculation ? 5 : 6;
+      const int before = mode == AggMode::kTree ? 35 : speculation ? 4 : 5;
       EXPECT_LE(counted_job_peak(mode, speculation, m), before);
     }
   }
@@ -603,7 +609,7 @@ TEST(AggregatorLifetimes, SplitAllreduceHoldsNoMoreThanBeforeErasure) {
     AggMetrics m;
     EXPECT_LE(counted_job_peak(AggMode::kSplit, speculation, m,
                                /*allreduce=*/true),
-              speculation ? 4 : 5);
+              4);
   }
 }
 
@@ -716,67 +722,83 @@ TEST(FoldContract, SpeculativeLosersNeverFold) {
   }
 }
 
+// One split_aggregate of 8 partitions over 64 slots on small_spec(), with
+// executor 2 killed at `kill_at` (0: never) and 8 KiB modeled per slot so
+// the ring runs long enough to be hit. `base` builds the test's counting
+// spec. Checks the result against the sequential reference and returns how
+// many partitions the trace shows refolded.
+int split_with_kill(
+    sim::Time kill_at, bool overlap, AggMetrics& m,
+    const std::function<TreeAggSpec<std::int64_t, Vec>(Simulator&)>& base) {
+  EngineConfig cfg;
+  cfg.agg_mode = AggMode::kSplit;
+  cfg.sai_parallelism = 2;
+  cfg.collective_timeout = sim::milliseconds(400);
+  cfg.stage_retry_backoff = sim::milliseconds(10);
+  cfg.overlap_recovery = overlap;
+  cfg.trace.enabled = true;
+  if (kill_at > 0) cfg.fault_schedule.kill_executor(kill_at, 2);
+  Simulator sim;
+  Cluster cl(sim, small_spec(), cfg);
+  CachedRdd<std::int64_t> rdd(8, cl.num_executors(), row_gen(6));
+  auto sspec = split_sum_spec(64);
+  sspec.base = base(sim);
+  sspec.base.bytes = [](const Vec& v) {
+    return static_cast<std::uint64_t>(v.size()) * 8 * 8192;
+  };
+  sspec.v_bytes = sspec.base.bytes;
+  auto job = [&]() -> Task<Vec> {
+    co_return co_await split_aggregate(cl, rdd, sspec, &m);
+  };
+  EXPECT_EQ(sim.run_task(job()), sequential_reference(rdd, sum_spec(64)));
+  int refolded = 0;
+  for (const obs::TraceEvent& ev : cl.trace().events()) {
+    if (std::string(ev.name) == "recover.refold") {
+      refolded += static_cast<int>(ev.arg("partitions"));
+    }
+  }
+  return refolded;
+}
+
+// Runs `run(kill_at)` at 25–85% of the way through a clean run's ring stage
+// until one kill hits the ring mid-flight (the job takes a second ring
+// attempt). False if none does.
+bool kill_mid_ring(const AggMetrics& clean,
+                   const std::function<AggMetrics(sim::Time)>& run) {
+  for (int pct : {25, 40, 55, 70, 85}) {
+    const sim::Time t =
+        clean.compute_done +
+        (clean.end - clean.compute_done) * static_cast<sim::Time>(pct) / 100;
+    if (run(t).ring_stage_attempts >= 2) return true;
+  }
+  return false;
+}
+
 TEST(FoldContract, KilledPartialsFoldOncePerRefold) {
   // A kill mid-ring loses executor 2's merged partial. Its partitions are
   // folded once more each, by the residual refold or the overlapped eager
   // refold; every other partition is folded once.
   for (const bool overlap : {false, true}) {
     SCOPED_TRACE(overlap ? "overlapped refold" : "residual refold");
-    auto run = [overlap](sim::Time kill_at, std::vector<int>& folds,
-                         AggMetrics& m, int& refolded) {
-      EngineConfig cfg;
-      cfg.agg_mode = AggMode::kSplit;
-      cfg.sai_parallelism = 2;
-      cfg.collective_timeout = sim::milliseconds(400);
-      cfg.stage_retry_backoff = sim::milliseconds(10);
-      cfg.overlap_recovery = overlap;
-      cfg.trace.enabled = true;
-      if (kill_at > 0) cfg.fault_schedule.kill_executor(kill_at, 2);
-      Simulator sim;
-      Cluster cl(sim, small_spec(), cfg);
-      CachedRdd<std::int64_t> rdd(8, cl.num_executors(), row_gen(6));
-      auto sspec = split_sum_spec(64);
-      sspec.base = fold_counting_spec(64, folds);
-      sspec.base.bytes = [](const Vec& v) {
-        return static_cast<std::uint64_t>(v.size()) * 8 * 8192;
-      };
-      sspec.v_bytes = sspec.base.bytes;
-      const Vec want = sequential_reference(rdd, sum_spec(64));
-      folds.assign(8, 0);
-      auto job = [&]() -> Task<Vec> {
-        co_return co_await split_aggregate(cl, rdd, sspec, &m);
-      };
-      EXPECT_EQ(sim.run_task(job()), want);
-      refolded = 0;
-      for (const obs::TraceEvent& ev : cl.trace().events()) {
-        if (std::string(ev.name) == "recover.refold") {
-          refolded += static_cast<int>(ev.arg("partitions"));
-        }
-      }
-    };
-    std::vector<int> folds(8, 0);
-    AggMetrics clean;
+    std::vector<int> folds;
     int refolded = 0;
-    run(0, folds, clean, refolded);
+    const auto run = [&](sim::Time kill_at) {
+      folds.assign(8, 0);
+      AggMetrics m;
+      refolded = split_with_kill(kill_at, overlap, m, [&](Simulator&) {
+        return fold_counting_spec(64, folds);
+      });
+      return m;
+    };
+    const AggMetrics clean = run(0);
     ASSERT_EQ(clean.ring_stage_attempts, 1);
     EXPECT_EQ(folds, std::vector<int>(8, 1));
-
-    bool hit = false;
-    for (int pct : {25, 40, 55, 70, 85}) {
-      const sim::Time t =
-          clean.compute_done +
-          (clean.end - clean.compute_done) * static_cast<sim::Time>(pct) / 100;
-      AggMetrics m;
-      run(t, folds, m, refolded);
-      if (m.ring_stage_attempts < 2) continue;
-      hit = true;
-      std::vector<int> expect(8, 1);
-      expect[2] = expect[6] = 2;  // executor 2's partitions (pid % 4 == 2).
-      EXPECT_EQ(folds, expect);
-      EXPECT_EQ(refolded, 2);
-      break;
-    }
-    EXPECT_TRUE(hit) << "no kill time in the sweep hit the ring mid-flight";
+    ASSERT_TRUE(kill_mid_ring(clean, run))
+        << "no kill time in the sweep hit the ring mid-flight";
+    std::vector<int> expect(8, 1);
+    expect[2] = expect[6] = 2;  // executor 2's partitions (pid % 4 == 2).
+    EXPECT_EQ(folds, expect);
+    EXPECT_EQ(refolded, 2);
   }
 }
 
@@ -822,7 +844,92 @@ TEST(FoldContract, ThrowingSeqOpAbortsWithItsMessage) {
     } catch (const std::runtime_error& e) {
       EXPECT_STREQ(e.what(), "seq_op rejected row 3005");
     }
+    // The aborted job (the cluster's first, id 0) leaves no partly folded
+    // merged value behind on any executor.
+    for (int e = 0; e < cl.num_executors(); ++e) {
+      EXPECT_FALSE(cl.executor(e).mutable_object(0, sim).value)
+          << "executor " << e;
+    }
   }
+}
+
+// ---------------------------------------------------------------------------
+// An IMM stage folds each task straight into its executor's merged value,
+// so comb_op runs only where whole values meet: tree combine rounds, the
+// driver, and drain migration. Refolds onto survivors fold in place too.
+// ---------------------------------------------------------------------------
+
+// sum_spec whose comb_op logs the simulated time of every call.
+TreeAggSpec<std::int64_t, Vec> comb_logging_spec(int dim, Simulator& sim,
+                                                 std::vector<sim::Time>& log) {
+  auto spec = sum_spec(dim);
+  spec.comb_op = [&sim, &log, comb = spec.comb_op](Vec& a, const Vec& b) {
+    log.push_back(sim.now());
+    comb(a, b);
+  };
+  spec.partition_cost = [](int, const std::vector<std::int64_t>& rows) {
+    return sim::milliseconds(rows.size());
+  };
+  return spec;
+}
+
+TEST(ImmStage, NeverCombinesTaskResults) {
+  for (const bool speculation : {false, true}) {
+    SCOPED_TRACE(speculation ? "speculation on" : "speculation off");
+    for (const AggMode mode : {AggMode::kTreeImm, AggMode::kSplit}) {
+      SCOPED_TRACE(to_string(mode));
+      Simulator sim;
+      Cluster cl(sim, small_spec());
+      cl.config().agg_mode = mode;
+      if (speculation) {
+        cl.config().stragglers.slowdown[3] = 8.0;
+        cl.config().health.speculation = true;
+        cl.config().health.speculation_interval = sim::milliseconds(5);
+      }
+      CachedRdd<std::int64_t> rdd(16, cl.num_executors(), row_gen(30));
+      std::vector<sim::Time> combs;
+      auto sspec = split_sum_spec(8);
+      sspec.base = comb_logging_spec(8, sim, combs);
+      AggMetrics m;
+      auto job = [&]() -> Task<Vec> {
+        if (mode == AggMode::kTreeImm) {
+          co_return co_await tree_aggregate(cl, rdd, sspec.base, &m);
+        }
+        co_return co_await split_aggregate(cl, rdd, sspec, &m);
+      };
+      EXPECT_EQ(sim.run_task(job()), sequential_reference(rdd, sum_spec(8)));
+      if (speculation) {
+        EXPECT_GE(m.speculative_launches, 1);
+      }
+      EXPECT_EQ(std::count_if(combs.begin(), combs.end(),
+                              [&m](sim::Time t) { return t <= m.compute_done; }),
+                0);
+      if (mode == AggMode::kSplit) {
+        EXPECT_TRUE(combs.empty());
+      } else {
+        EXPECT_FALSE(combs.empty());  // the tree still combines executors.
+      }
+    }
+  }
+  // A kill mid-ring loses executor 2's merged value; its partitions refold
+  // onto survivors in place, still without a comb_op.
+  std::vector<sim::Time> combs;
+  int refolded = 0;
+  const auto run = [&](sim::Time kill_at) {
+    combs.clear();
+    AggMetrics m;
+    refolded = split_with_kill(kill_at, /*overlap=*/true, m,
+                               [&](Simulator& sim) {
+                                 return comb_logging_spec(64, sim, combs);
+                               });
+    return m;
+  };
+  const AggMetrics clean = run(0);
+  ASSERT_EQ(clean.ring_stage_attempts, 1);
+  ASSERT_TRUE(kill_mid_ring(clean, run))
+      << "no kill time in the sweep hit the ring mid-flight";
+  EXPECT_EQ(refolded, 2);
+  EXPECT_TRUE(combs.empty());
 }
 
 // ---------------------------------------------------------------------------

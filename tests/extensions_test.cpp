@@ -234,6 +234,37 @@ TEST(EngineBroadcast, CopiesOncePerStoringExecutorNeverPerBlock) {
   EXPECT_EQ(std::unique(replicas.begin(), replicas.end()), replicas.end());
 }
 
+TEST(EngineBroadcast, EachJoinerOwnsItsCopyOfAKeyedBroadcast) {
+  // Executors 4 and 5 join after a keyed broadcast. Join warm-up gives each
+  // its own replica, as the relay gave every executor it reached, so a
+  // write to one joiner's replica reaches no other copy.
+  Simulator sim;
+  net::ClusterSpec spec = net::ClusterSpec::bic(1);  // 6 executors
+  spec.fabric.gc.enabled = false;
+  engine::EngineConfig cfg;
+  cfg.membership.join(sim::seconds(10), 4).join(sim::seconds(10), 5);
+  engine::Cluster cl(sim, spec, cfg);
+  auto value = std::make_shared<CopyCounted>(7);
+  constexpr std::int64_t kKey = 77;
+  auto job = [&]() -> Task<void> {
+    co_await engine::broadcast_value(cl, value, 1ull << 20, kKey);
+    co_await sim.sleep_until(sim::seconds(11));
+    co_await cl.sync_membership(/*complete_drains=*/true);
+  };
+  sim.run_task(job());
+  const auto replica = [&](int e) {
+    return std::static_pointer_cast<CopyCounted>(
+        cl.executor(e).mutable_object(kKey, sim).value);
+  };
+  ASSERT_TRUE(cl.membership().schedulable(4));
+  ASSERT_TRUE(cl.membership().schedulable(5));
+  ASSERT_TRUE(replica(5));
+  replica(5)->v = -1;
+  EXPECT_EQ(value->v, 7);
+  EXPECT_EQ(replica(0)->v, 7);
+  EXPECT_EQ(replica(4)->v, 7);
+}
+
 // ---------------------------------------------------------------------------
 // Metrics.
 // ---------------------------------------------------------------------------
