@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Byte-identity check between two build trees of this repository.
 
-Usage: ci/compare_outputs.py [--expect-diff PROG]... <build-a> <build-b>
+Usage: ci/compare_outputs.py [--fewer-events] [--expect-diff PROG]...
+                             <build-a> <build-b>
 
 Runs every fig*/ablation_* bench and the quickstart, logistic_regression,
 lda_topics and reduce_scatter_playground examples from both build trees,
@@ -19,6 +20,15 @@ A change that is meant to move some outputs names each such program with
 the flag repeats). A named program must then differ between the trees, and
 still exit 0 in both; every other run must stay byte-identical. Naming a
 program that is not compared is a usage error (exit 2).
+
+A change that makes the simulation dispatch fewer kernel events, with the
+same simulated behaviour, passes `--fewer-events`. BENCH reports then also
+drop `sim_events`. Traces drop the sim-kernel probe samples
+(`sim.queue_depth` and `sim.events_processed` counters, pid 2), which are
+taken every N dispatched events, and compare their remaining event lines as
+a sorted list: a record the simulator now writes at a different moment
+lands at a different position in the file. Every other byte is still
+compared.
 
 Typical use is a refactor that must not change behaviour: build the parent
 commit into one tree and the change into another (same build type), then
@@ -40,7 +50,14 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXAMPLES = ["quickstart", "logistic_regression", "lda_topics",
             "reduce_scatter_playground"]
 SPEED_FIELDS = {"events_per_sec", "sim_wall_s", "wall_per_sim_sec"}
+EVENT_COUNT_FIELDS = {"sim_events"}
 TRACE_FILE = "trace.json"
+# Sim-kernel probe counters (obs::SimQueueProbe), sampled per dispatched
+# event count, and the pid they are recorded under (obs::kSimPid).
+PROBE_COUNTERS = {"sim.queue_depth", "sim.events_processed"}
+SIM_PID = 2
+TRACE_HEAD = b'{"displayTimeUnit":"ms","traceEvents":['
+TRACE_TAIL = b"]}"
 # The bench::Cli declaration of the flag in a binary's source.
 TRACE_DECL = re.compile(r'\{\s*"--trace-out",')
 TIMEOUT_S = 1800
@@ -84,24 +101,52 @@ def run(build, prog, trace, workdir):
             "files": files}
 
 
-def strip_speed(obj):
+def strip_fields(obj, fields):
     if isinstance(obj, dict):
-        return {k: strip_speed(v) for k, v in obj.items()
-                if k not in SPEED_FIELDS}
+        return {k: strip_fields(v, fields) for k, v in obj.items()
+                if k not in fields}
     if isinstance(obj, list):
-        return [strip_speed(v) for v in obj]
+        return [strip_fields(v, fields) for v in obj]
     return obj
 
 
-def normalize(name, data):
+def is_probe_sample(line):
+    try:
+        ev = json.loads(line)
+    except ValueError:
+        return False
+    return (isinstance(ev, dict) and ev.get("ph") == "C"
+            and ev.get("pid") == SIM_PID and ev.get("name") in PROBE_COUNTERS)
+
+
+def sorted_trace_events(data):
+    """A Chrome trace (one event per line, as obs::chrome_trace_json writes
+    it) with the probe samples dropped and the event lines sorted, or None
+    if `data` is not laid out that way."""
+    lines = data.split(b"\n")
+    if (len(lines) < 3 or lines[0] != TRACE_HEAD
+            or lines[-2:] != [TRACE_TAIL, b""]):
+        return None
+    events = [ln[:-1] if ln.endswith(b",") else ln for ln in lines[1:-2]]
+    kept = sorted(ln for ln in events if not is_probe_sample(ln))
+    return b"\n".join([lines[0]] + kept + lines[-2:])
+
+
+def normalize(name, data, fewer_events):
     base = os.path.basename(name)
     if base.startswith("BENCH_") and base.endswith(".json"):
         try:
             doc = json.loads(data.decode("utf-8"))
         except (UnicodeDecodeError, ValueError):
             return data
-        return json.dumps(strip_speed(doc), indent=1,
+        fields = SPEED_FIELDS | (EVENT_COUNT_FIELDS if fewer_events
+                                 else set())
+        return json.dumps(strip_fields(doc, fields), indent=1,
                           sort_keys=True).encode("utf-8")
+    if fewer_events and base.endswith(".json"):
+        trace = sorted_trace_events(data)
+        if trace is not None:
+            return trace
     return data
 
 
@@ -120,7 +165,7 @@ def describe(label, a, b):
     return "\n".join("  " + line for line in shown)
 
 
-def compare(ra, rb):
+def compare(ra, rb, fewer_events):
     problems = []
     if ra["exit"] != rb["exit"]:
         problems.append(f"  exit status {ra['exit']} vs {rb['exit']}")
@@ -132,8 +177,8 @@ def compare(ra, rb):
             side = "a" if name in ra["files"] else "b"
             problems.append(f"  {name}: only written by build {side}")
             continue
-        a = normalize(name, ra["files"][name])
-        b = normalize(name, rb["files"][name])
+        a = normalize(name, ra["files"][name], fewer_events)
+        b = normalize(name, rb["files"][name], fewer_events)
         if a != b:
             problems.append(describe(name, a, b))
     return problems
@@ -147,6 +192,9 @@ def main(argv):
     ap.add_argument("--expect-diff", action="append", default=[],
                     metavar="PROG",
                     help="a program whose outputs must differ (repeatable)")
+    ap.add_argument("--fewer-events", action="store_true",
+                    help="ignore event counts and probe samples, and "
+                         "compare trace events as a sorted list")
     args = ap.parse_args(argv[1:])
     build_a, build_b = args.build_a, args.build_b
     progs = programs(build_a)
@@ -175,7 +223,7 @@ def main(argv):
                 fa = pool.submit(run, build_a, prog, trace, dirs[0])
                 fb = pool.submit(run, build_b, prog, trace, dirs[1])
                 ra, rb = fa.result(), fb.result()
-                problems = compare(ra, rb)
+                problems = compare(ra, rb, args.fewer_events)
                 note = " (traced)" if trace else ""
                 nonzero = ra["exit"] != 0 or rb["exit"] != 0
                 if nonzero:

@@ -135,13 +135,7 @@ class Communicator {
     sim::Time& last = last_ready_[conn_key(src, dst, channel)];
     if (ready < last) ready = last;
     last = ready;
-    if (!link_.jvm && ready <= simulator().now()) {
-      connection(src, dst, channel).post(std::move(m));
-      return;
-    }
-    auto* conn = &connection(src, dst, channel);
-    simulator().call_at(
-        ready, [conn, m = std::move(m)]() mutable { conn->post(std::move(m)); });
+    connection(src, dst, channel).post_at(ready, std::move(m));
   }
 
   /// Receives the next message sent from `src` to `dst` on `channel`.

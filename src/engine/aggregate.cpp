@@ -649,6 +649,13 @@ sim::Task<void> fetch_input(Cluster& cl, int from, int to, std::uint64_t b,
   wg.done();
 }
 
+/// A reduce's first input becomes its accumulator. Nothing else holds a
+/// plain task's result or an IMM value its executor has already let go
+/// of, so it is taken over; a value still held elsewhere is copied.
+Agg take_first_input(const ErasedSpec& spec, Agg in) {
+  return in.use_count() == 1 ? in : spec.copy(in.get());
+}
+
 /// One shuffle-combine reduce task: fetch inputs (concurrently),
 /// deserialize and merge them, re-serialize the result.
 sim::Task<Blob> reduce_task(Cluster& cl, int job, std::vector<Blob> inputs,
@@ -671,7 +678,7 @@ sim::Task<Blob> reduce_task(Cluster& cl, int job, std::vector<Blob> inputs,
   for (auto& in : inputs) {
     co_await cl.simulator().sleep(cl.deser_time(in.bytes));
     if (!acc) {
-      acc = spec.copy(in.value.get());  // inputs may be shared elsewhere
+      acc = take_first_input(spec, std::move(in.value));
     } else {
       co_await cl.simulator().sleep(cl.merge_cost(in.bytes));
       spec.comb(acc.get(), in.value.get());
@@ -715,7 +722,7 @@ sim::Task<void> arrive(Cluster& cl, int job, Blob in, Agg& acc,
                       {"bytes", static_cast<std::int64_t>(in.bytes)}});
   co_await cl.simulator().sleep_until(done);
   if (!acc) {
-    acc = spec.copy(in.value.get());
+    acc = take_first_input(spec, std::move(in.value));
   } else {
     spec.comb(acc.get(), in.value.get());
   }
@@ -728,7 +735,8 @@ sim::Task<Agg> driver_reduce(Cluster& cl, int job, std::vector<Blob> inputs,
   Agg acc;
   co_await sim::run_each(
       cl.simulator(), static_cast<int>(inputs.size()), [&](int i) {
-        return arrive(cl, job, inputs[static_cast<std::size_t>(i)], acc, spec);
+        return arrive(cl, job, std::move(inputs[static_cast<std::size_t>(i)]),
+                      acc, spec);
       });
   co_return acc;
 }

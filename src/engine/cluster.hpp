@@ -301,7 +301,8 @@ class Cluster {
   int concurrent_rings() const noexcept { return active_rings_; }
 
   /// Parks a retired communicator until cluster destruction: its pump
-  /// coroutines may still hold suspended frames in the event queue.
+  /// coroutines and loopback delivery timers may still be in the event
+  /// queue.
   void park_retired_comm(std::unique_ptr<comm::Communicator> c) {
     if (c) retired_sc_.push_back(std::move(c));
   }
@@ -377,7 +378,8 @@ class Cluster {
 
   std::unique_ptr<comm::Communicator> sc_;
   // Retired communicators: destroyed only with the cluster, because their
-  // pump coroutines may still hold suspended frames in the event queue.
+  // pump coroutines and loopback delivery timers may still be in the event
+  // queue.
   std::vector<std::unique_ptr<comm::Communicator>> retired_sc_;
   int sc_parallelism_ = 0;
   bool sc_topology_aware_ = false;

@@ -53,8 +53,13 @@ struct LinkParams {
 };
 
 /// One unidirectional connection. Messages posted to it are transmitted in
-/// order by an internal pump coroutine and appear in `inbox()` at their
-/// simulated delivery time.
+/// order and appear in `inbox()` at their simulated delivery time.
+///
+/// A connection between two hosts runs an internal pump coroutine that
+/// paces each message chunk by chunk through both NICs. A loopback
+/// connection (both ends on one host) touches no NIC and no shared server,
+/// so it is a per-connection FIFO delay line: each message is delivered by
+/// one timer at a delivery time computed when it is posted.
 class Connection {
  public:
   Connection(Fabric& fabric, int src_host, int dst_host, LinkParams params)
@@ -64,16 +69,39 @@ class Connection {
         dst_host_(dst_host),
         params_(params),
         outbox_(*sim_),
-        inbox_(*sim_),
-        pump_(pump()) {
-    sim_->schedule_now(pump_.handle());
+        inbox_(*sim_) {
+    if (!loopback()) {
+      pump_ = pump();
+      sim_->schedule_now(pump_.handle());
+    }
   }
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
 
-  /// Queues a message for transmission. Never blocks (ZeroMQ-style
+  /// Queues a message for transmission now. Never blocks (ZeroMQ-style
   /// buffered send).
-  void post(Message m) { outbox_.send(std::move(m)); }
+  void post(Message m) {
+    if (loopback()) {
+      deliver_loopback(sim_->now(), std::move(m));
+    } else {
+      outbox_.send(std::move(m));
+    }
+  }
+
+  /// Queues a message that may start no earlier than `ready` (>= now): the
+  /// sender's hand-off time, e.g. after its IO thread copied it out. A JVM
+  /// link between hosts hands off through a timer even when `ready` is now.
+  void post_at(Time ready, Message m) {
+    if (loopback()) {
+      deliver_loopback(ready, std::move(m));
+    } else if (!params_.jvm && ready <= sim_->now()) {
+      outbox_.send(std::move(m));
+    } else {
+      sim_->call_at(ready, [this, m = std::move(m)]() mutable {
+        outbox_.send(std::move(m));
+      });
+    }
+  }
 
   /// Receiver-side delivery queue.
   sim::Channel<Message>& inbox() noexcept { return inbox_; }
@@ -86,29 +114,51 @@ class Connection {
   std::uint64_t bytes_delivered() const noexcept { return bytes_delivered_; }
 
  private:
+  bool loopback() const noexcept { return src_host_ == dst_host_; }
+
   // Each directed host link gets its own track under the network
   // pseudo-process.
   int trace_tid() const noexcept { return src_host_ * 256 + dst_host_; }
+
+  /// Time one loopback message occupies the line: both per-message
+  /// overheads, the intra-host latency and a memory copy at the loopback
+  /// rate (no NIC, no stream cap).
+  Duration loopback_time(std::uint64_t bytes) const {
+    return params_.send_overhead + fabric_->latency(src_host_, dst_host_) +
+           sim::transfer_time(static_cast<double>(bytes),
+                              fabric_->params().host.loopback_bw) +
+           params_.recv_overhead;
+  }
+
+  /// The loopback delay line: a message starts when it is ready or when the
+  /// one ahead of it is delivered, whichever is later — exactly when a pump
+  /// would start it — and one timer delivers it. Delivery times never
+  /// decrease, and same-instant timers fire in posting order, so delivery
+  /// stays FIFO. The timer works the start time back out of the message
+  /// size instead of capturing it, which keeps its closure within
+  /// InlineFn's inline buffer.
+  void deliver_loopback(Time ready, Message m) {
+    const Time start = std::max(ready, line_free_);
+    line_free_ = start + loopback_time(m.bytes);
+    sim_->call_at(line_free_, [this, m = std::move(m)]() mutable {
+      if (obs::TraceSink* tr = fabric_->trace()) {
+        const Time done = sim_->now();
+        tr->span_at("net", "net.tx", obs::kNetPid, trace_tid(),
+                    done - loopback_time(m.bytes), done,
+                    {{"src", src_host_},
+                     {"dst", dst_host_},
+                     {"bytes", static_cast<std::int64_t>(m.bytes)},
+                     {"channel", m.channel}});
+      }
+      bytes_delivered_ += m.bytes;
+      inbox_.send(std::move(m));
+    });
+  }
 
   sim::Task<void> pump() {
     for (;;) {
       Message m = co_await outbox_.recv();
       obs::TraceSink* tr = fabric_->trace();
-      // Host-level faults: a dead host or severed host link silently loses
-      // the message — like a real TCP connection, loss surfaces at the
-      // receiver as a hung recv (timeout), not as a sender error.
-      FaultFabric& faults = fabric_->faults();
-      if (!faults.host_alive(src_host_) || !faults.host_alive(dst_host_) ||
-          !faults.host_link_up(src_host_, dst_host_)) {
-        if (tr) {
-          tr->instant("net", "net.drop", obs::kNetPid, trace_tid(),
-                      {{"src", src_host_},
-                       {"dst", dst_host_},
-                       {"bytes", static_cast<std::int64_t>(m.bytes)},
-                       {"channel", m.channel}});
-        }
-        continue;
-      }
       const obs::SpanId span =
           tr ? tr->begin("net", "net.tx", obs::kNetPid, trace_tid(),
                          {{"src", src_host_},
@@ -116,27 +166,13 @@ class Connection {
                           {"bytes", static_cast<std::int64_t>(m.bytes)},
                           {"channel", m.channel}})
              : obs::kNoSpan;
-      co_await transmit(m);
+      co_await sim_->sleep(params_.send_overhead);
+      co_await transmit_remote(m, fabric_->latency(src_host_, dst_host_));
+      co_await sim_->sleep(params_.recv_overhead);
       if (tr) tr->end(span);
       bytes_delivered_ += m.bytes;
       inbox_.send(std::move(m));
     }
-  }
-
-  sim::Task<void> transmit(const Message& m) {
-    co_await sim_->sleep(params_.send_overhead);
-    const bool local = (src_host_ == dst_host_);
-    const Duration lat = fabric_->latency(src_host_, dst_host_) +
-                         fabric_->faults().host_link_delay(src_host_, dst_host_);
-    if (local) {
-      // Loopback: no NIC, no stream cap; rate-limited by memory copies.
-      co_await sim_->sleep(
-          lat + sim::transfer_time(static_cast<double>(m.bytes),
-                                   fabric_->params().host.loopback_bw));
-    } else {
-      co_await transmit_remote(m, lat);
-    }
-    co_await sim_->sleep(params_.recv_overhead);
   }
 
   sim::Task<void> transmit_remote(const Message& m, Duration lat) {
@@ -159,16 +195,10 @@ class Connection {
     do {
       const std::uint64_t chunk = std::min<std::uint64_t>(remaining, chunk_size);
       // Pace to the stream's rate cap: a chunk may not be injected earlier
-      // than one stream service time after the previous injection. A
-      // degraded host link stretches the stream service time.
-      const double degrade =
-          fabric_->faults().host_degrade(src_host_, dst_host_);
-      const Duration stream_t = static_cast<Duration>(
-          static_cast<double>(
-              params_.per_chunk_cpu +
-              sim::transfer_time(static_cast<double>(chunk),
-                                 params_.stream_bw)) *
-          (degrade < 1.0 ? 1.0 : degrade));
+      // than one stream service time after the previous injection.
+      const Duration stream_t =
+          params_.per_chunk_cpu +
+          sim::transfer_time(static_cast<double>(chunk), params_.stream_bw);
       if (stream_next_ > sim_->now()) {
         co_await sim_->sleep_until(stream_next_);
       }
@@ -198,13 +228,11 @@ class Connection {
   /// delivery time of the last chunk. O(chunks) work but O(1) simulator
   /// events; each injection still waits for the later of the stream-pacing
   /// slot and the previous chunk's NIC departure (the backpressure rule of
-  /// the exact path). Degradation is sampled once per message.
+  /// the exact path).
   Time transmit_remote_batched(const Message& m, Duration lat) {
     Host& src = fabric_->host(src_host_);
     Host& dst = fabric_->host(dst_host_);
     const double nic_bw = fabric_->params().host.nic_bw;
-    const double degrade = std::max(
-        1.0, fabric_->faults().host_degrade(src_host_, dst_host_));
     Time cursor = sim_->now();
     Time last_delivery = cursor + lat;
     std::uint64_t remaining = m.bytes;
@@ -213,12 +241,9 @@ class Connection {
         m.bytes / std::max<std::size_t>(1, params_.max_chunks_per_msg));
     do {
       const std::uint64_t chunk = std::min<std::uint64_t>(remaining, chunk_size);
-      const Duration stream_t = static_cast<Duration>(
-          static_cast<double>(
-              params_.per_chunk_cpu +
-              sim::transfer_time(static_cast<double>(chunk),
-                                 params_.stream_bw)) *
-          degrade);
+      const Duration stream_t =
+          params_.per_chunk_cpu +
+          sim::transfer_time(static_cast<double>(chunk), params_.stream_bw);
       const Time inject = std::max(cursor, stream_next_);
       stream_next_ = inject + stream_t;
       const Duration nic_t =
@@ -240,11 +265,13 @@ class Connection {
   int dst_host_;
   LinkParams params_;
   Time stream_next_ = 0;
+  Time line_free_ = 0;  ///< loopback: delivery time of the latest message.
   std::uint64_t bytes_delivered_ = 0;
   sim::Channel<Message> outbox_;
   sim::Channel<Message> inbox_;
-  sim::Task<void> pump_;  // declared last: destroyed first (it waits on
-                          // outbox_, whose waiter list refers into its frame)
+  sim::Task<void> pump_;  // between hosts only. Declared last: destroyed
+                          // first (it waits on outbox_, whose waiter list
+                          // refers into its frame)
 };
 
 }  // namespace sparker::net

@@ -25,7 +25,8 @@
 ///  * concurrent flows into one host (driver incast during tree aggregation)
 ///    share that host's ingress line rate.
 ///
-/// Intra-host transfers use a loopback rate and skip the NIC servers.
+/// Intra-host transfers use a loopback rate and skip the NIC servers; each
+/// loopback message costs one simulator event (see net::Connection).
 
 namespace sparker::net {
 

@@ -22,9 +22,7 @@
 ///    In-Memory Merge handles with *stage-level* retry (Section 3.2).
 ///  * **channel faults** — one directed message channel between two nodes
 ///    (optionally one specific parallel ring channel) is severed, degraded,
-///    or given extra delay, possibly healing after a while. Host-level link
-///    faults (consulted by net::Connection) model NIC/switch trouble shared
-///    by every flow between two hosts.
+///    or given extra delay, possibly healing after a while.
 ///
 /// All fault times are scheduled on the discrete-event simulator and all
 /// randomized schedules draw from the fabric's own splittable RNG
@@ -181,56 +179,12 @@ class FaultFabric {
            degrade_of(channels_, chan_key(src, dst, -1));
   }
 
-  // ---- host-level link faults (consulted by net::Connection) --------------
-  // These affect every connection between two hosts (both the scalable
-  // communicator's channels and BlockManager traffic).
-
-  void kill_host(int host) { dead_hosts_.insert(host); }
-  void kill_host_at(Time t, int host) {
-    sim_->call_at(t, [this, host] { kill_host(host); });
-  }
-  bool host_alive(int host) const {
-    return dead_hosts_.empty() || dead_hosts_.count(host) == 0;
-  }
-
-  void sever_host_link(int a, int b, Time heal_at = kNever) {
-    hosts_[host_key(a, b)].severed_until = heal_at;
-  }
-  void sever_host_link_at(Time t, int a, int b, Duration heal_after = 0) {
-    sim_->call_at(t, [this, t, a, b, heal_after] {
-      sever_host_link(a, b, heal_after > 0 ? t + heal_after : kNever);
-    });
-  }
-  bool host_link_up(int a, int b) const {
-    return !severed(hosts_, host_key(a, b));
-  }
-
-  void degrade_host_link(int a, int b, double factor, Time until = kNever) {
-    auto& f = hosts_[host_key(a, b)];
-    f.degrade = factor;
-    f.degrade_until = until;
-  }
-  double host_degrade(int a, int b) const {
-    return degrade_of(hosts_, host_key(a, b));
-  }
-
-  void delay_host_link(int a, int b, Duration extra, Time until = kNever) {
-    auto& f = hosts_[host_key(a, b)];
-    f.extra_delay = extra;
-    f.delay_until = until;
-  }
-  Duration host_link_delay(int a, int b) const {
-    return delay_of(hosts_, host_key(a, b));
-  }
-
   /// Heals every link fault and forgets every death (fresh schedule between
   /// independent runs sharing one fabric).
   void reset() {
     dead_nodes_.clear();
     death_times_.clear();
-    dead_hosts_.clear();
     channels_.clear();
-    hosts_.clear();
     pending_join_.clear();
   }
 
@@ -251,14 +205,8 @@ class FaultFabric {
             << 16) |
            static_cast<std::uint64_t>(static_cast<std::uint16_t>(channel + 1));
   }
-  static std::uint64_t host_key(int a, int b) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a + 1))
-            << 32) |
-           static_cast<std::uint64_t>(static_cast<std::uint32_t>(b + 1));
-  }
-
   // The empty() checks skip hashing the key on a fault-free run, where
-  // every chunk and message asks.
+  // every message asks.
   bool severed(const FaultMap& m, std::uint64_t key) const {
     if (m.empty()) return false;
     auto it = m.find(key);
@@ -281,11 +229,9 @@ class FaultFabric {
   sim::Rng rng_;
   std::unordered_set<int> dead_nodes_;
   std::unordered_map<int, Time> death_times_;
-  std::unordered_set<int> dead_hosts_;
   std::unordered_set<int> pending_join_;  ///< declared but not yet arrived.
   MembershipListener membership_listener_;
   FaultMap channels_;  ///< keyed by (src node, dst node, channel).
-  FaultMap hosts_;     ///< keyed by (src host, dst host).
 };
 
 }  // namespace sparker::net

@@ -586,19 +586,19 @@ TEST(AggregatorLifetimes, ImmStageHoldsOneAggregatorPerExecutor) {
 }
 
 // The other entry points, pinned to measured peaks so a path that retains
-// an extra copy fails: the plain tree's before the engine was type-erased,
-// kTreeImm's and split_allreduce's since IMM tasks fold in place. A plain
-// tree stage ships one result per partition (32) before combining; a
-// kTreeImm job peaks when the driver's accumulator copies the first of the
-// merged values.
+// an extra copy fails: the tree's since a reduce takes over its first input
+// instead of copying it, split_allreduce's since IMM tasks fold in place. A
+// plain tree stage ships one result per partition (32) before combining; a
+// kTreeImm job holds at most one merged value per executor (4; 3 measured
+// under speculation).
 TEST(AggregatorLifetimes, TreeAggregateHoldsNoMoreThanBeforeErasure) {
   for (const bool speculation : {false, true}) {
     SCOPED_TRACE(speculation ? "speculation on" : "speculation off");
     for (const AggMode mode : {AggMode::kTree, AggMode::kTreeImm}) {
       SCOPED_TRACE(to_string(mode));
       AggMetrics m;
-      const int before = mode == AggMode::kTree ? 35 : speculation ? 4 : 5;
-      EXPECT_LE(counted_job_peak(mode, speculation, m), before);
+      const int peak = mode == AggMode::kTree ? 32 : speculation ? 3 : 4;
+      EXPECT_LE(counted_job_peak(mode, speculation, m), peak);
     }
   }
 }

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "comm/communicator.hpp"
 #include "net/cluster.hpp"
 #include "net/connection.hpp"
 #include "net/fabric.hpp"
@@ -158,26 +161,126 @@ TEST(Connection, LoopbackBypassesNicAndIsFast) {
   EXPECT_EQ(fabric.host(0).ingress.jobs(), 0u);
 }
 
-TEST(Connection, MessagesOnOneConnectionAreFifo) {
-  Simulator sim;
-  Fabric fabric(sim, quiet_fabric(), 2);
-  Connection c(fabric, 0, 1, plain_link());
-  for (int i = 0; i < 8; ++i) {
-    Message m;
-    m.tag = i;
-    m.bytes = 1024 * static_cast<std::uint64_t>(8 - i);  // varied sizes
-    c.post(m);
+// Delivery time of each message on a loopback connection, as the FIFO
+// delay line it is: a message starts when it is posted or when the one
+// ahead of it is delivered, whichever is later, and then takes the link's
+// two per-message overheads, the intra-host latency and its loopback copy.
+std::vector<Time> loopback_fifo_times(const FabricParams& fp,
+                                      const LinkParams& l,
+                                      const std::vector<Time>& ready,
+                                      const std::vector<std::uint64_t>& bytes) {
+  std::vector<Time> done;
+  Time prev = 0;
+  for (std::size_t i = 0; i < ready.size(); ++i) {
+    const Time start = std::max(ready[i], prev);
+    prev = start + l.send_overhead + fp.intra_latency +
+           sim::transfer_time(static_cast<double>(bytes[i]),
+                              fp.host.loopback_bw) +
+           l.recv_overhead;
+    done.push_back(prev);
   }
-  auto recv_all = [](Connection& conn) -> Task<std::vector<int>> {
-    std::vector<int> tags;
-    for (int i = 0; i < 8; ++i) {
-      Message m = co_await conn.inbox().recv();
-      tags.push_back(m.tag);
+  return done;
+}
+
+TEST(Connection, MessagesOnOneConnectionAreFifo) {
+  // Varied sizes, posted back to back (later messages queue behind earlier
+  // ones) and after an idle gap. Host 0 -> 1 crosses the NIC; host 0 -> 0
+  // is loopback, whose every delivery time is pinned to the nanosecond.
+  const std::vector<Time> post_at = {
+      0, 0, 0, sim::microseconds(10), sim::microseconds(12),
+      sim::microseconds(500), sim::microseconds(500), sim::microseconds(501)};
+  const std::vector<std::uint64_t> bytes = {8 << 10, 1 << 20, 0, 64 << 10,
+                                            3,       2 << 20, 17, 256 << 10};
+  for (const int dst : {1, 0}) {
+    SCOPED_TRACE(dst == 0 ? "loopback" : "remote");
+    Simulator sim;
+    Fabric fabric(sim, quiet_fabric(), 2);
+    Connection c(fabric, 0, dst, plain_link());
+    for (std::size_t i = 0; i < post_at.size(); ++i) {
+      Message m;
+      m.tag = static_cast<int>(i);
+      m.bytes = bytes[i];
+      sim.call_at(post_at[i], [&c, m] { c.post(m); });
     }
-    co_return tags;
+    using Delivery = std::pair<int, Time>;  // (tag, delivery time)
+    auto recv_all = [](Connection& conn, Simulator& s,
+                       std::size_t n) -> Task<std::vector<Delivery>> {
+      std::vector<Delivery> got;
+      for (std::size_t i = 0; i < n; ++i) {
+        Message m = co_await conn.inbox().recv();
+        got.emplace_back(m.tag, s.now());
+      }
+      co_return got;
+    };
+    const auto got = sim.run_task(recv_all(c, sim, post_at.size()));
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].first, static_cast<int>(i));
+    }
+    if (dst == 0) {
+      const std::vector<Time> want =
+          loopback_fifo_times(quiet_fabric(), plain_link(), post_at, bytes);
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].second, want[i]) << "message " << i;
+      }
+      for (int h = 0; h < 2; ++h) {
+        EXPECT_EQ(fabric.host(h).egress.jobs(), 0u);
+        EXPECT_EQ(fabric.host(h).ingress.jobs(), 0u);
+      }
+    }
+  }
+}
+
+// A JVM-backed link hands each message to the sender's IO thread first, so
+// the thread's FIFO sets when the loopback connection may start it; the
+// receiver's IO thread copies it out after delivery.
+TEST(Communicator, JvmLoopbackStartsWhenTheIoThreadHandsOff) {
+  const std::vector<Time> post_at = {0, 0, sim::microseconds(40),
+                                     sim::milliseconds(2)};
+  const std::vector<std::uint64_t> bytes = {4 << 20, 100, 512 << 10, 1 << 20};
+  Simulator sim;
+  Fabric fabric(sim, quiet_fabric(), 1);
+  LinkParams l = plain_link();
+  l.jvm = true;
+  comm::Communicator sc(fabric, {0, 0}, l);
+  for (std::size_t i = 0; i < post_at.size(); ++i) {
+    Message m;
+    m.tag = static_cast<int>(i);
+    m.bytes = bytes[i];
+    sim.call_at(post_at[i], [&sc, m] { sc.post(0, 1, 0, m); });
+  }
+  auto recv_all = [](comm::Communicator& c, Simulator& s,
+                     std::size_t n) -> Task<std::vector<Time>> {
+    std::vector<Time> at;
+    for (std::size_t i = 0; i < n; ++i) {
+      const Message m = co_await c.recv(1, 0, 0);
+      EXPECT_EQ(m.tag, static_cast<int>(i));
+      at.push_back(s.now());
+    }
+    co_return at;
   };
-  auto tags = sim.run_task(recv_all(c));
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(tags[static_cast<std::size_t>(i)], i);
+  const std::vector<Time> got =
+      sim.run_task(recv_all(sc, sim, post_at.size()));
+
+  // Sender IO thread: a FIFO server over the messages' stream copies.
+  std::vector<Duration> cpu;
+  std::vector<Time> ready;
+  Time busy = 0;
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    cpu.push_back(
+        sim::transfer_time(static_cast<double>(bytes[i]), l.stream_bw));
+    busy = std::max(post_at[i], busy) + cpu.back();
+    ready.push_back(busy);
+  }
+  const std::vector<Time> delivered =
+      loopback_fifo_times(quiet_fabric(), l, ready, bytes);
+  // Receiver IO thread: the same copy again, once each message is in.
+  Time copied = 0;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    copied = std::max(delivered[i], copied) + cpu[i];
+    EXPECT_EQ(got[i], copied) << "message " << i;
+  }
+  EXPECT_EQ(fabric.host(0).egress.jobs(), 0u);
+  EXPECT_EQ(fabric.host(0).ingress.jobs(), 0u);
 }
 
 TEST(Connection, ZeroByteMessageStillDelivers) {
