@@ -19,10 +19,7 @@ int main(int argc, char** argv) {
   // --algo overrides the SC columns' algorithm; the MPI reference keeps
   // MPICH's own size-based choices (halving short, pairwise long).
   comm::AlgoId sc_algo = comm::AlgoId::kRing;
-  bool extended = false;
-  bench::Cli({{"--algo", bench::algo(&sc_algo), "name"},
-              {"--extended", bench::flag(&extended)}})
-      .parse(argc, argv);
+  bench::Cli({{"--algo", bench::algo(&sc_algo), "name"}}).parse(argc, argv);
   bench::print_banner("Figure 15",
                       "Reduce-scatter scalability, 6..48 executors (BIC)");
   std::printf("SC collective algorithm: %s\n", comm::to_string(sc_algo));
@@ -68,39 +65,6 @@ int main(int argc, char** argv) {
   t.print();
   bench::JsonReport report("fig15_rs_scalability");
   report.add_table("results", t);
-
-  // --extended: beyond the paper's 48 executors, push the same experiment
-  // to 10k+ executors. The ring is O(n) rounds, so the large points use
-  // recursive halving (what the tuner picks at this scale) and the batched
-  // NIC pacing mode — per-chunk events would dominate the kernel otherwise.
-  if (extended) {
-    std::printf("\nExtended sweep: 128..10240 executors, halving, "
-                "batched pacing\n");
-    net::ClusterSpec big = spec;
-    big.sc_link.batched_pacing = true;
-    bench::Table ext({"executors", "SC 256KB (ms)", "SC 256MB (ms)",
-                      "wall (s)"});
-    for (int execs : {128, 512, 2048, 10240}) {
-      const double w0 = bench::sim_speed().wall_s;
-      auto run = [&](std::uint64_t bytes) {
-        bench::RsOptions opt;
-        opt.executors = execs;
-        opt.parallelism = 4;
-        opt.topology_aware = true;
-        opt.message_bytes = bytes;
-        opt.backend = bench::CommBackend::kScalable;
-        opt.algo = comm::AlgoId::kHalving;
-        return 1e3 * bench::reduce_scatter_seconds(big, opt);
-      };
-      const double small = run(256ull << 10);
-      const double large = run(256ull << 20);
-      ext.add_row({std::to_string(execs), bench::fmt(small, 2),
-                   bench::fmt(large, 1),
-                   bench::fmt(bench::sim_speed().wall_s - w0, 2)});
-    }
-    ext.print();
-    report.add_table("extended", ext);
-  }
 
   report.with_sim_speed().write();
   std::printf(

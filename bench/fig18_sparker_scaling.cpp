@@ -17,8 +17,7 @@
 
 int main(int argc, char** argv) {
   using namespace sparker;
-  bool extended = false;
-  bench::Cli({{"--extended", bench::flag(&extended)}}).parse(argc, argv);
+  bench::Cli({}).parse(argc, argv);
   bench::print_banner("Figure 18",
                       "LDA-N Spark vs Sparker decomposition (AWS, 15 "
                       "iterations); seconds");
@@ -51,33 +50,6 @@ int main(int argc, char** argv) {
   t.print();
   bench::JsonReport report("fig18_sparker_scaling");
   report.add_table("results", t);
-
-  // --extended: past the paper's 960 cores, a lighter aggregation-focused
-  // sweep (3 iterations) to 10k+ cores with batched NIC pacing, tracking
-  // whether the scalable reduction's advantage keeps growing.
-  if (extended) {
-    std::printf("\nExtended sweep: 1024..10240 cores, 3 iterations, "
-                "batched pacing\n");
-    bench::Table ext({"cores", "Spark reduce", "Sparker reduce",
-                      "reduce speedup", "wall (s)"});
-    for (int cores : {1024, 4096, 10240}) {
-      const double w0 = bench::sim_speed().wall_s;
-      auto spec = bench::aws_with_cores(cores);
-      spec.sc_link.batched_pacing = true;
-      spec.bm_link.batched_pacing = true;
-      spec.mpi_link.batched_pacing = true;
-      const auto spark = bench::run_e2e(spec, engine::AggMode::kTree, w, 3);
-      const auto sparker =
-          bench::run_e2e(spec, engine::AggMode::kSplit, w, 3);
-      ext.add_row({std::to_string(cores), bench::fmt(spark.agg_reduce_s, 1),
-                   bench::fmt(sparker.agg_reduce_s, 1),
-                   bench::fmt_times(spark.agg_reduce_s / sparker.agg_reduce_s,
-                                    2),
-                   bench::fmt(bench::sim_speed().wall_s - w0, 2)});
-    }
-    ext.print();
-    report.add_table("extended", ext);
-  }
 
   report.with_sim_speed().write();
   std::printf(

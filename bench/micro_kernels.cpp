@@ -6,11 +6,13 @@
 #include <benchmark/benchmark.h>
 
 #include <any>
+#include <chrono>
 #include <vector>
 
 #include "bench_util/vec_sai.hpp"
 #include "comm/collectives.hpp"
 #include "comm/communicator.hpp"
+#include "comp/sparse.hpp"
 #include "data/generators.hpp"
 #include "data/presets.hpp"
 #include "ml/aggregator.hpp"
@@ -79,6 +81,33 @@ void BM_SplitOp(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SplitOp)->Range(1 << 12, 1 << 20);
+
+void BM_AdaptiveEncode(benchmark::State& state) {
+  // One sparse-ring segment: 2^19 int64 slots over 48 ranks, each slot
+  // nonzero with probability range(0)%. Only `encode` is timed, not the
+  // input copy it consumes.
+  const std::size_t n = 10923;
+  const auto percent = static_cast<std::uint64_t>(state.range(0));
+  sim::Rng rng(7);
+  std::vector<std::int64_t> v(n, 0);
+  for (auto& x : v) {
+    if (rng.next_u64() % 100 < percent) {
+      x = static_cast<std::int64_t>(rng.next_u64() | 1);
+    }
+  }
+  for (auto _ : state) {
+    std::vector<std::int64_t> in = v;
+    const auto t0 = std::chrono::steady_clock::now();
+    auto enc = comp::AdaptiveVector<std::int64_t>::encode(std::move(in));
+    benchmark::DoNotOptimize(enc);
+    state.SetIterationTime(std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n * sizeof(std::int64_t)));
+}
+BENCHMARK(BM_AdaptiveEncode)->Arg(1)->Arg(50)->Arg(80)->UseManualTime();
 
 void BM_LogisticGradientFold(benchmark::State& state) {
   const auto preset = data::avazu();

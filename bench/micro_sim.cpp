@@ -18,8 +18,8 @@
 /// Raw kernel-speed micro-benchmark: how fast does the discrete-event core
 /// itself run, independent of any model fidelity question? Six workload
 /// shapes stress the distinct hot paths of the calendar queue and timer
-/// pool (see DESIGN.md §12); a seventh compares exact per-chunk NIC pacing
-/// against the batched O(1)-events-per-message mode. Each shape reports
+/// pool (see DESIGN.md §12); a seventh prices per-chunk NIC pacing, the
+/// model cost of one large transfer between hosts. Each shape reports
 /// events (or timer ops) per wall second and wall-clock per simulated
 /// second into BENCH_micro_sim.json.
 ///
@@ -40,8 +40,8 @@
 ///   clustered      the engine's own regime: 3k pending timers in bursts of
 ///                  ~100 within 3us, bursts 1ms apart; each firing re-arms
 ///                  into a burst up to 30ms ahead — bucket-width control.
-///   paced_transfer 64MiB messages through the NIC/stream pacing model,
-///                  exact per-chunk mode vs batched_pacing.
+///   paced_exact    64MiB messages through the per-chunk NIC/stream
+///                  pacing model.
 
 namespace {
 
@@ -214,15 +214,13 @@ ShapeResult clustered() {
 }
 
 /// Streams `kMsgs` large messages host 0 -> host 1 through one connection.
-ShapeResult paced_transfer(bool batched) {
+ShapeResult paced_transfer() {
   const int kMsgs = 200;
   const std::uint64_t kBytes = 64ull << 20;
   Simulator s;
   bench::SimSpeedScope speed(s);
   net::Fabric fabric(s, net::FabricParams{}, 2);
-  net::LinkParams link;
-  link.batched_pacing = batched;
-  net::Connection conn(fabric, 0, 1, link);
+  net::Connection conn(fabric, 0, 1, net::LinkParams{});
   for (int i = 0; i < kMsgs; ++i) {
     net::Message m;
     m.bytes = kBytes;
@@ -234,8 +232,7 @@ ShapeResult paced_transfer(bool batched) {
   const auto t0 = Clock::now();
   s.run_task(drain(conn, kMsgs));
   const double w = wall_since(t0);
-  return {batched ? "paced_batched" : "paced_exact",
-          static_cast<double>(s.events_processed()) / w, w,
+  return {"paced_exact", static_cast<double>(s.events_processed()) / w, w,
           sim::to_seconds(s.now()), s.events_processed()};
 }
 
@@ -255,8 +252,7 @@ int main(int argc, char** argv) {
   results.push_back(pingpong());
   results.push_back(fanout());
   results.push_back(clustered());
-  results.push_back(paced_transfer(false));
-  results.push_back(paced_transfer(true));
+  results.push_back(paced_transfer());
 
   bench::Table t({"shape", "Mops/s", "wall_s", "sim_s", "events",
                   "wall_per_sim_sec"});
@@ -278,15 +274,6 @@ int main(int argc, char** argv) {
   }
   t.print();
 
-  // The batched pacing model must produce the same delivery schedule as the
-  // exact one when no competing flow interleaves (same arithmetic, coarser
-  // interleaving only) — cross-check the virtual end times.
-  const double exact_sim = results[results.size() - 2].sim_s;
-  const double batched_sim = results.back().sim_s;
-  std::printf("paced model check: exact %.9f s vs batched %.9f s%s\n",
-              exact_sim, batched_sim,
-              exact_sim == batched_sim ? " (identical)" : " (DRIFT)");
-
   bench::JsonReport report("micro_sim");
   report.set("floor_ops", floor_ops);
   report.add_table("results", t);
@@ -294,7 +281,7 @@ int main(int argc, char** argv) {
 
   bool ok = true;
   for (const auto& r : results) {
-    // The paced shapes measure model cost, not raw queue speed; the floor
+    // The paced shape measures model cost, not raw queue speed; the floor
     // applies to the six queue shapes.
     if (r.name.rfind("paced", 0) == 0) continue;
     if (r.ops_per_sec < floor_ops) {
@@ -302,11 +289,6 @@ int main(int argc, char** argv) {
                    r.name.c_str(), r.ops_per_sec, floor_ops);
       ok = false;
     }
-  }
-  if (exact_sim != batched_sim) {
-    std::fprintf(stderr,
-                 "FAIL: batched pacing diverged from exact schedule\n");
-    ok = false;
   }
   return ok ? 0 : 1;
 }

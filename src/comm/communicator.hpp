@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -121,21 +120,21 @@ class Communicator {
               static_cast<double>(m.bytes), link_.stream_bw)) *
           (degrade - 1.0));
     }
+    Path& p = path(src, dst, channel);
     sim::Time ready = simulator().now() + extra;
     if (link_.jvm) {
       const sim::Duration cpu = sim::transfer_time(
           static_cast<double>(m.bytes), link_.stream_bw);
-      ready = io_thread(src, channel).enqueue(cpu) + extra;
+      ready = p.src_io->enqueue(cpu) + extra;
     }
     // FIFO enforcement: a degraded/delayed channel stretches the wire, it
     // never reorders it. Without the clamp, a message posted after the
     // fault heals (or simply a smaller message under a byte-proportional
     // degrade) would overtake one still in flight and the ring would merge
     // the wrong round's segment.
-    sim::Time& last = last_ready_[conn_key(src, dst, channel)];
-    if (ready < last) ready = last;
-    last = ready;
-    connection(src, dst, channel).post_at(ready, std::move(m));
+    if (ready < p.last_ready) ready = p.last_ready;
+    p.last_ready = ready;
+    p.conn.post_at(ready, std::move(m));
   }
 
   /// Receives the next message sent from `src` to `dst` on `channel`.
@@ -145,11 +144,11 @@ class Communicator {
     if (!rank_alive(dst)) {
       throw CollectiveFailed("recv on dead rank " + std::to_string(dst));
     }
-    auto& conn = connection(src, dst, channel);
+    Path& p = path(src, dst, channel);
     Message m;
     if (recv_timeout_ > 0) {
       std::optional<Message> got =
-          co_await conn.inbox().recv_until(simulator().now() + recv_timeout_);
+          co_await p.conn.inbox().recv_until(simulator().now() + recv_timeout_);
       if (!got) {
         throw CollectiveFailed(
             "recv timeout: rank " + std::to_string(dst) + " <- rank " +
@@ -157,7 +156,7 @@ class Communicator {
       }
       m = std::move(*got);
     } else {
-      m = co_await conn.inbox().recv();
+      m = co_await p.conn.inbox().recv();
     }
     if (!rank_alive(dst)) {
       throw CollectiveFailed("rank " + std::to_string(dst) +
@@ -166,7 +165,7 @@ class Communicator {
     if (link_.jvm) {
       const sim::Duration cpu = sim::transfer_time(
           static_cast<double>(m.bytes), link_.stream_bw);
-      const sim::Time done = io_thread(dst, channel).enqueue(cpu);
+      const sim::Time done = p.dst_io->enqueue(cpu);
       co_await simulator().sleep_until(done);
     }
     co_return m;
@@ -179,7 +178,7 @@ class Communicator {
   /// Total modeled bytes moved through all connections so far.
   std::uint64_t total_bytes_delivered() const {
     std::uint64_t total = 0;
-    for (const auto& [k, c] : conns_) total += c->bytes_delivered();
+    for (const auto& [k, p] : paths_) total += p.conn.bytes_delivered();
     return total;
   }
 
@@ -190,21 +189,40 @@ class Communicator {
            static_cast<std::uint64_t>(channel);
   }
 
-  net::Connection& connection(int src, int dst, int channel) {
+  /// Everything a message on one (src, dst, channel) path needs, so that a
+  /// post or a recv costs one hash lookup.
+  struct Path {
+    Path(net::Fabric& fabric, int src_host, int dst_host,
+         const net::LinkParams& link)
+        : conn(fabric, src_host, dst_host, link) {}
+    net::Connection conn;
+    /// Latest scheduled hand-off time, enforcing the FIFO contract under
+    /// time-varying post delays.
+    sim::Time last_ready = 0;
+    sim::FifoServer* src_io = nullptr;  ///< sender's IO thread (JVM links).
+    sim::FifoServer* dst_io = nullptr;  ///< receiver's IO thread (JVM links).
+  };
+
+  /// The path's record, created with its connection on first use: the
+  /// first post that passes the fault checks, or the first recv. A
+  /// connection between hosts schedules its pump when it is created.
+  Path& path(int src, int dst, int channel) {
     check_rank(src);
     check_rank(dst);
     if (channel < 0 || channel >= parallelism_) {
       throw std::out_of_range("channel out of range");
     }
     const std::uint64_t key = conn_key(src, dst, channel);
-    auto it = conns_.find(key);
-    if (it == conns_.end()) {
-      it = conns_
-               .emplace(key, std::make_unique<net::Connection>(
-                                 *fabric_, host_of(src), host_of(dst), link_))
-               .first;
+    auto it = paths_.find(key);
+    if (it != paths_.end()) return it->second;
+    Path& p = paths_.try_emplace(key, *fabric_, host_of(src), host_of(dst),
+                                 link_)
+                  .first->second;
+    if (link_.jvm) {
+      p.src_io = &io_thread(src, channel);
+      p.dst_io = &io_thread(dst, channel);
     }
-    return *it->second;
+    return p;
   }
 
   void check_rank(int r) const {
@@ -215,12 +233,7 @@ class Communicator {
     const std::uint64_t key =
         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(rank)) << 8) |
         static_cast<std::uint64_t>(channel % io_cores_);
-    auto it = io_.find(key);
-    if (it == io_.end()) {
-      it = io_.emplace(key, std::make_unique<sim::FifoServer>(simulator()))
-               .first;
-    }
-    return *it->second;
+    return io_.try_emplace(key, simulator()).first->second;
   }
 
   net::Fabric* fabric_;
@@ -230,11 +243,9 @@ class Communicator {
   sim::Duration recv_timeout_ = 0;  ///< 0 = no timeout detection.
   int parallelism_;
   int io_cores_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<net::Connection>> conns_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<sim::FifoServer>> io_;
-  /// Per-(src, dst, channel) latest scheduled hand-off time, enforcing the
-  /// FIFO contract under time-varying post delays.
-  std::unordered_map<std::uint64_t, sim::Time> last_ready_;
+  std::unordered_map<std::uint64_t, Path> paths_;
+  /// IO threads by (rank, channel % io_cores).
+  std::unordered_map<std::uint64_t, sim::FifoServer> io_;
 };
 
 }  // namespace sparker::comm

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -69,17 +71,68 @@ struct SparseCodec {
     return sparse_bytes(nnz) < dense_bytes(len);
   }
 
-  /// Gathers the nonzeros of `v` into sorted (index, value) arrays.
-  static void gather(const std::vector<T>& v, std::vector<Index>& idx,
-                     std::vector<T>& val) {
-    idx.clear();
-    val.clear();
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      if (v[i] != T{}) {
-        idx.push_back(static_cast<Index>(i));
-        val.push_back(v[i]);
+  /// Nonzero iff `x != T{}`, computed on the bits so that the scans below
+  /// vectorize: an integer is nonzero iff any bit is set, a double iff any
+  /// bit but the sign is (-0.0 is zero; NaN, infinities and subnormals are
+  /// not).
+  static std::uint64_t nonzero_bits(T x) {
+    static_assert(std::is_integral_v<T> || std::is_same_v<T, double>);
+    if constexpr (std::is_same_v<T, double>) {
+      return std::bit_cast<std::uint64_t>(x) << 1;
+    } else {
+      return static_cast<std::uint64_t>(x);
+    }
+  }
+  /// 1 if `x != T{}`, else 0.
+  static std::uint64_t nonzero(T x) {
+    const std::uint64_t u = nonzero_bits(x);
+    return (u | (0 - u)) >> 63;
+  }
+
+  /// The density-optimal encode decision, shared by `write` and
+  /// AdaptiveVector::encode. One branch-free pass counts the nonzeros
+  /// (`x != T{}`). If sparse would not be strictly smaller, returns false
+  /// and leaves `idx`/`val` untouched. Otherwise sizes them to exactly nnz
+  /// and fills them in index order — sorted, unique and in range by
+  /// construction — skipping all-zero blocks of 8, and returns true.
+  static bool gather_if_sparse(const std::vector<T>& v,
+                               std::vector<Index>& idx,
+                               std::vector<T>& val) {
+    const std::size_t n = v.size();
+    const T* x = v.data();
+    std::size_t nnz = 0;
+    for (std::size_t i = 0; i < n; ++i) nnz += nonzero(x[i]);
+    if (!prefer_sparse(nnz, n)) return false;
+    idx.resize(nnz);
+    val.resize(nnz);
+    Index* const out_idx = idx.data();
+    T* const out_val = val.data();
+    std::size_t k = 0;
+    // Writes slot k whatever x[j] is; only a nonzero advances k.
+    const auto put = [&](std::size_t j) {
+      out_idx[k] = static_cast<Index>(j);
+      out_val[k] = x[j];
+      k += nonzero(x[j]);
+    };
+    constexpr std::size_t kBlock = 8;
+    std::size_t i = 0;
+    for (; i + kBlock <= n; i += kBlock) {
+      std::uint64_t live = 0;
+      for (std::size_t j = i; j < i + kBlock; ++j) live |= nonzero_bits(x[j]);
+      if (live == 0) continue;
+      if (k + kBlock <= nnz) {
+        // Every slot this block can write exists: no branch per element.
+        for (std::size_t j = i; j < i + kBlock; ++j) put(j);
+      } else {
+        for (std::size_t j = i; j < i + kBlock; ++j) {
+          if (nonzero(x[j])) put(j);
+        }
       }
     }
+    for (; i < n; ++i) {
+      if (nonzero(x[i])) put(i);
+    }
+    return true;
   }
 
   /// Scatters (index, value) pairs into a zero-filled dense vector.
@@ -110,8 +163,7 @@ struct SparseCodec {
   static void write(ser::ByteBuffer& b, const std::vector<T>& v) {
     std::vector<Index> idx;
     std::vector<T> val;
-    gather(v, idx, val);
-    if (prefer_sparse(idx.size(), v.size())) {
+    if (gather_if_sparse(v, idx, val)) {
       write_sparse(b, v.size(), idx, val);
     } else {
       write_dense(b, v);
@@ -195,16 +247,18 @@ class AdaptiveVector {
     return out;
   }
 
-  /// Density-optimal encoding of a dense vector: gathers nonzeros and keeps
-  /// whichever representation is smaller on the wire.
+  /// Density-optimal encoding of a dense vector: keeps whichever
+  /// representation is smaller on the wire. The vector is gathered only
+  /// when sparse wins; the gathered arrays are valid by construction, so
+  /// they skip the `sparse()` builder's validation.
   static AdaptiveVector encode(std::vector<T> v) {
-    std::vector<Index> idx;
-    std::vector<T> val;
-    Codec::gather(v, idx, val);
-    if (Codec::prefer_sparse(idx.size(), v.size())) {
-      return sparse(v.size(), std::move(idx), std::move(val));
+    AdaptiveVector out;
+    if (!Codec::gather_if_sparse(v, out.idx_, out.val_)) {
+      return dense(std::move(v));
     }
-    return dense(std::move(v));
+    out.len_ = v.size();
+    out.sparse_ = true;
+    return out;
   }
 
   bool is_sparse() const noexcept { return sparse_; }

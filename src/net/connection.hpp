@@ -41,15 +41,6 @@ struct LinkParams {
   /// contention granularity remains fine relative to the message.
   std::size_t max_chunks_per_msg = 256;
   bool jvm = false;                ///< JVM-managed buffers (GC model applies).
-  /// Book the whole chunk schedule of a message synchronously — one event
-  /// per message instead of two or three per chunk. The pacing arithmetic
-  /// (stream cap, NIC store-and-forward, departure backpressure) is
-  /// identical to the per-chunk path; what coarsens is interleaving: other
-  /// flows and fault-state changes are observed at message granularity
-  /// rather than chunk granularity. Off by default, which keeps the exact
-  /// model (and its bit-identical schedules); turn on for very large
-  /// simulations where per-chunk events dominate kernel time.
-  bool batched_pacing = false;
 };
 
 /// One unidirectional connection. Messages posted to it are transmitted in
@@ -176,13 +167,6 @@ class Connection {
   }
 
   sim::Task<void> transmit_remote(const Message& m, Duration lat) {
-    if (params_.batched_pacing) {
-      co_await sim_->sleep_until(transmit_remote_batched(m, lat));
-      if (params_.jvm) {
-        fabric_->charge_jvm_bytes(dst_host_, static_cast<double>(m.bytes));
-      }
-      co_return;
-    }
     Host& src = fabric_->host(src_host_);
     Host& dst = fabric_->host(dst_host_);
     const double nic_bw = fabric_->params().host.nic_bw;
@@ -221,42 +205,6 @@ class Connection {
     if (params_.jvm) {
       fabric_->charge_jvm_bytes(dst_host_, static_cast<double>(m.bytes));
     }
-  }
-
-  /// Batched-pacing schedule: runs the per-chunk recurrence as plain
-  /// arithmetic against the NIC servers' booking API and returns the
-  /// delivery time of the last chunk. O(chunks) work but O(1) simulator
-  /// events; each injection still waits for the later of the stream-pacing
-  /// slot and the previous chunk's NIC departure (the backpressure rule of
-  /// the exact path).
-  Time transmit_remote_batched(const Message& m, Duration lat) {
-    Host& src = fabric_->host(src_host_);
-    Host& dst = fabric_->host(dst_host_);
-    const double nic_bw = fabric_->params().host.nic_bw;
-    Time cursor = sim_->now();
-    Time last_delivery = cursor + lat;
-    std::uint64_t remaining = m.bytes;
-    const std::uint64_t chunk_size = std::max<std::uint64_t>(
-        params_.chunk_bytes,
-        m.bytes / std::max<std::size_t>(1, params_.max_chunks_per_msg));
-    do {
-      const std::uint64_t chunk = std::min<std::uint64_t>(remaining, chunk_size);
-      const Duration stream_t =
-          params_.per_chunk_cpu +
-          sim::transfer_time(static_cast<double>(chunk), params_.stream_bw);
-      const Time inject = std::max(cursor, stream_next_);
-      stream_next_ = inject + stream_t;
-      const Duration nic_t =
-          sim::transfer_time(static_cast<double>(chunk), nic_bw);
-      const Time departed = src.egress.enqueue_at(inject, nic_t);
-      if (params_.jvm) {
-        fabric_->charge_jvm_bytes(src_host_, static_cast<double>(chunk));
-      }
-      cursor = departed;
-      last_delivery = dst.ingress.enqueue_at(departed + lat, nic_t);
-      remaining -= chunk;
-    } while (remaining > 0);
-    return last_delivery;
   }
 
   Fabric* fabric_;

@@ -128,6 +128,24 @@ TEST(Communicator, InvalidChannelThrows) {
   EXPECT_THROW(w.c->post(0, 1, 2, Message{}), std::out_of_range);
 }
 
+TEST(Communicator, PostToDeadRankCreatesNoConnection) {
+  // A lost message must not create its path: a connection between hosts
+  // schedules its pump when it is created, so the simulator stays idle.
+  World w(2);
+  w.fabric->faults().kill_node(1);
+  Message m;
+  m.bytes = 1024;
+  w.c->post(0, 1, 0, std::move(m));
+  w.c->post(1, 0, 0, Message{});
+  EXPECT_TRUE(w.sim->idle());
+  EXPECT_EQ(w.sim->run(), 0u);
+  EXPECT_EQ(w.c->total_bytes_delivered(), 0u);
+  // The same post between live ranks creates the connection and its pump.
+  World live(2);
+  live.c->post(0, 1, 0, Message{});
+  EXPECT_FALSE(live.sim->idle());
+}
+
 TEST(Communicator, RingNeighbours) {
   World w(4);
   EXPECT_EQ(w.c->next(3), 0);

@@ -4,9 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <numeric>
+#include <random>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "comp/sparse.hpp"
@@ -325,6 +330,153 @@ TEST(SparseCodec, SparseAggregatorWireFormatShrinks) {
   EXPECT_LT(agg.serialized_bytes(), agg.flat.size() * sizeof(double));
   const ml::GradientAggregator back = roundtrip(agg);
   EXPECT_EQ(back.flat, agg.flat);
+}
+
+// ---------------------------------------------------------------------------
+// AdaptiveVector::encode and SparseCodec::write against their definition:
+// gather every nonzero (x != T{}: -0.0 is dropped, NaN kept), then keep
+// sparse iff it is strictly smaller on the wire. The oracle below is that
+// gather-then-decide code written out; every optimized encode must agree
+// with it byte for byte.
+
+template <typename T>
+struct OracleEncoding {
+  bool sparse = false;
+  std::vector<std::int32_t> idx;
+  std::vector<T> val;
+};
+
+template <typename T>
+OracleEncoding<T> oracle_encode(const std::vector<T>& v) {
+  OracleEncoding<T> out;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (v[i] != T{}) {
+      out.idx.push_back(static_cast<std::int32_t>(i));
+      out.val.push_back(v[i]);
+    }
+  }
+  out.sparse = out.idx.size() * (sizeof(std::int32_t) + sizeof(T)) <
+               v.size() * sizeof(T);
+  return out;
+}
+
+template <typename T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+/// A length-`len` vector with exactly `nnz` entries that compare nonzero,
+/// at seeded positions. Double vectors also carry NaN, -NaN, -infinity and
+/// subnormals among the nonzeros and -0.0 among the zeros.
+template <typename T>
+std::vector<T> table_input(std::size_t len, std::size_t nnz,
+                           std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<std::size_t> pos(len);
+  std::iota(pos.begin(), pos.end(), std::size_t{0});
+  std::shuffle(pos.begin(), pos.end(), rng);
+  std::vector<T> v(len, T{});
+  for (std::size_t k = 0; k < len; ++k) {
+    T& x = v[pos[k]];
+    if constexpr (std::is_floating_point_v<T>) {
+      if (k >= nnz) {
+        if (k % 3 == 0) x = -0.0;
+      } else if (k % 5 == 4) {
+        x = std::numeric_limits<T>::quiet_NaN();
+      } else if (k % 7 == 6) {
+        x = -std::numeric_limits<T>::denorm_min();
+      } else if (k % 11 == 10) {
+        x = -std::numeric_limits<T>::infinity();
+      } else if (k % 13 == 12) {
+        x = -std::numeric_limits<T>::quiet_NaN();
+      } else {
+        x = static_cast<T>(static_cast<std::int64_t>(rng() % 2001) - 1000) +
+            0.5;
+      }
+    } else if (k < nnz) {
+      x = static_cast<T>(rng() | 1);
+    }
+  }
+  return v;
+}
+
+template <typename T>
+void check_encode_table() {
+  using Codec = comp::SparseCodec<T>;
+  using Vec = comp::AdaptiveVector<T>;
+  const std::size_t lengths[] = {0, 1, 7, 8, 9, 63, 64, 65, 10923};
+  for (std::size_t len : lengths) {
+    // The smallest count at which sparse is no longer strictly smaller.
+    std::size_t at = 0;
+    while (at < len && Codec::prefer_sparse(at, len)) ++at;
+    const std::size_t counts[] = {0,
+                                  std::min<std::size_t>(1, len),
+                                  len / 100,
+                                  at > 0 ? at - 1 : 0,
+                                  at,
+                                  std::min(at + 1, len),
+                                  len * 4 / 5,
+                                  len};
+    for (std::size_t nnz : counts) {
+      SCOPED_TRACE("len " + std::to_string(len) + " nnz " +
+                   std::to_string(nnz));
+      const std::vector<T> v = table_input<T>(len, nnz, len * 131 + nnz);
+      const OracleEncoding<T> want = oracle_encode(v);
+      ASSERT_EQ(want.idx.size(), nnz);
+
+      ByteBuffer want_wire;
+      if (want.sparse) {
+        Codec::write_sparse(want_wire, len, want.idx, want.val);
+      } else {
+        Codec::write_dense(want_wire, v);
+      }
+      // Dense decodes bit for bit; sparse decodes -0.0 as +0.0.
+      std::vector<T> want_decoded = v;
+      if (want.sparse) {
+        for (T& x : want_decoded) {
+          if (!(x != T{})) x = T{};
+        }
+      }
+
+      const Vec av = Vec::encode(v);
+      EXPECT_EQ(av.is_sparse(), want.sparse);
+      EXPECT_EQ(av.length(), len);
+      EXPECT_EQ(av.serialized_bytes(), want.sparse
+                                           ? Codec::sparse_bytes(nnz)
+                                           : Codec::dense_bytes(len));
+      ByteBuffer wire;
+      av.serialize(wire);
+      EXPECT_EQ(wire.bytes(), want_wire.bytes());
+      // The stored arrays, read back off the wire.
+      ASSERT_EQ(wire.read<std::uint8_t>(),
+                want.sparse ? Codec::kSparseTag : Codec::kDenseTag);
+      if (want.sparse) {
+        EXPECT_EQ(wire.read_varint(), len);
+        EXPECT_EQ(wire.read_vector<std::int32_t>(), want.idx);
+        EXPECT_TRUE(same_bits(wire.read_vector<T>(), want.val));
+      } else {
+        EXPECT_TRUE(same_bits(wire.read_vector<T>(), v));
+      }
+      wire.rewind();
+      EXPECT_TRUE(same_bits(Vec::deserialize(wire).to_dense(), want_decoded));
+
+      ByteBuffer codec_wire;
+      Codec::write(codec_wire, v);
+      EXPECT_EQ(codec_wire.bytes(), want_wire.bytes());
+      EXPECT_TRUE(same_bits(Codec::read(codec_wire), want_decoded));
+      EXPECT_TRUE(codec_wire.exhausted());
+    }
+  }
+}
+
+TEST(SparseCodec, EncodeMatchesGatherThenDecideInt64) {
+  check_encode_table<std::int64_t>();
+}
+
+TEST(SparseCodec, EncodeMatchesGatherThenDecideDouble) {
+  check_encode_table<double>();
 }
 
 }  // namespace
