@@ -154,8 +154,9 @@ int main(int argc, char** argv) {
     net::ClusterSpec probe_spec = net::ClusterSpec::bic(kNodes);
     probe_spec.fabric.gc.enabled = false;
     engine::Cluster probe(probe_sim, probe_spec, engine::EngineConfig{});
-    edge_src = probe.executor_of_rank(1);
-    edge_dst = probe.executor_of_rank(2);
+    const engine::RingView& ring = probe.ring().view();
+    edge_src = ring.rank_exec.at(1);
+    edge_dst = ring.rank_exec.at(2);
   }
 
   const sim::Time ring_lo = clean.stats.compute_done;

@@ -23,29 +23,35 @@ std::vector<ExecutorInfo> enumerate_executors(int hosts, int per_host) {
   return out;
 }
 
-std::vector<int> rank_map_by_executor_id(const std::vector<ExecutorInfo>& e) {
-  std::vector<ExecutorInfo> sorted = e;
-  std::sort(sorted.begin(), sorted.end(),
-            [](const ExecutorInfo& a, const ExecutorInfo& b) {
+void sort_ring_order(std::vector<ExecutorInfo>& e, bool by_hostname) {
+  std::sort(e.begin(), e.end(),
+            [by_hostname](const ExecutorInfo& a, const ExecutorInfo& b) {
+              if (by_hostname && a.hostname != b.hostname) {
+                return a.hostname < b.hostname;
+              }
               return a.executor_id < b.executor_id;
             });
+}
+
+namespace {
+
+std::vector<int> hosts_in_ring_order(std::vector<ExecutorInfo> e,
+                                     bool by_hostname) {
+  sort_ring_order(e, by_hostname);
   std::vector<int> map;
-  map.reserve(sorted.size());
-  for (const auto& x : sorted) map.push_back(x.host);
+  map.reserve(e.size());
+  for (const auto& x : e) map.push_back(x.host);
   return map;
 }
 
+}  // namespace
+
+std::vector<int> rank_map_by_executor_id(const std::vector<ExecutorInfo>& e) {
+  return hosts_in_ring_order(e, /*by_hostname=*/false);
+}
+
 std::vector<int> rank_map_by_hostname(const std::vector<ExecutorInfo>& e) {
-  std::vector<ExecutorInfo> sorted = e;
-  std::sort(sorted.begin(), sorted.end(),
-            [](const ExecutorInfo& a, const ExecutorInfo& b) {
-              if (a.hostname != b.hostname) return a.hostname < b.hostname;
-              return a.executor_id < b.executor_id;
-            });
-  std::vector<int> map;
-  map.reserve(sorted.size());
-  for (const auto& x : sorted) map.push_back(x.host);
-  return map;
+  return hosts_in_ring_order(e, /*by_hostname=*/true);
 }
 
 int ring_successor_executor(const std::vector<ExecutorInfo>& members,
@@ -53,18 +59,7 @@ int ring_successor_executor(const std::vector<ExecutorInfo>& members,
   if (members.empty()) return -1;
   std::vector<ExecutorInfo> order = members;
   order.push_back(leaving);
-  if (by_hostname) {
-    std::sort(order.begin(), order.end(),
-              [](const ExecutorInfo& a, const ExecutorInfo& b) {
-                if (a.hostname != b.hostname) return a.hostname < b.hostname;
-                return a.executor_id < b.executor_id;
-              });
-  } else {
-    std::sort(order.begin(), order.end(),
-              [](const ExecutorInfo& a, const ExecutorInfo& b) {
-                return a.executor_id < b.executor_id;
-              });
-  }
+  sort_ring_order(order, by_hostname);
   for (std::size_t i = 0; i < order.size(); ++i) {
     if (order[i].executor_id == leaving.executor_id) {
       return order[(i + 1) % order.size()].executor_id;

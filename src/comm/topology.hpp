@@ -23,6 +23,12 @@ struct ExecutorInfo {
 /// concurrently and register round-robin).
 std::vector<ExecutorInfo> enumerate_executors(int hosts, int per_host);
 
+/// Sorts `e` into ring rank order: by (hostname, executor id) when
+/// `by_hostname` (topology aware), else by executor id. The one ring-order
+/// rule: the rank maps below, `ring_successor_executor` and the engine's
+/// ring formation all sort with it.
+void sort_ring_order(std::vector<ExecutorInfo>& e, bool by_hostname);
+
 /// Rank -> host map with ranks assigned in executor-id order (NOT
 /// topology aware): ring neighbours are almost always on different hosts.
 std::vector<int> rank_map_by_executor_id(const std::vector<ExecutorInfo>& e);
@@ -38,8 +44,8 @@ int count_inter_host_ring_edges(const std::vector<int>& rank_to_host);
 /// Executor id of the member that follows `leaving` in the circular rank
 /// order the next formation will use over `members` (which must NOT contain
 /// `leaving`): the natural home for a drained node's reduce-scatter
-/// partials. `by_hostname` selects the topology-aware comparator. Returns
-/// -1 when `members` is empty.
+/// partials. `by_hostname` selects the topology-aware order. Returns -1
+/// when `members` is empty.
 int ring_successor_executor(const std::vector<ExecutorInfo>& members,
                             const ExecutorInfo& leaving, bool by_hostname);
 

@@ -89,6 +89,16 @@ struct SparseCodec {
     return (u | (0 - u)) >> 63;
   }
 
+  /// Number of elements `x != T{}` in `v`, in one branch-free pass that
+  /// vectorizes (see `nonzero`).
+  static std::size_t count_nonzero(const std::vector<T>& v) {
+    const std::size_t n = v.size();
+    const T* x = v.data();
+    std::size_t nnz = 0;
+    for (std::size_t i = 0; i < n; ++i) nnz += nonzero(x[i]);
+    return nnz;
+  }
+
   /// The density-optimal encode decision, shared by `write` and
   /// AdaptiveVector::encode. One branch-free pass counts the nonzeros
   /// (`x != T{}`). If sparse would not be strictly smaller, returns false
@@ -100,8 +110,7 @@ struct SparseCodec {
                                std::vector<T>& val) {
     const std::size_t n = v.size();
     const T* x = v.data();
-    std::size_t nnz = 0;
-    for (std::size_t i = 0; i < n; ++i) nnz += nonzero(x[i]);
+    const std::size_t nnz = count_nonzero(v);
     if (!prefer_sparse(nnz, n)) return false;
     idx.resize(nnz);
     val.resize(nnz);

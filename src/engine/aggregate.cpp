@@ -741,20 +741,6 @@ sim::Task<Agg> driver_reduce(Cluster& cl, int job, std::vector<Blob> inputs,
   co_return acc;
 }
 
-/// The fixed rank <-> executor picture of one ring-stage attempt, captured
-/// immediately after the communicator is (re)built. Every decision the
-/// attempt makes — which partials are outside the ring and must refold,
-/// which executor holds which rank — reads this snapshot, never the live
-/// `rank_of_executor` view: a kill or membership change during the
-/// attempt's awaits would otherwise rebuild the communicator mid-attempt
-/// and shear rank lookups away from the communicator the tasks run on.
-struct RingSnapshot {
-  comm::Communicator* sc = nullptr;
-  int n = 0;
-  std::vector<int> rank_exec;  ///< rank -> executor id.
-  std::vector<int> exec_rank;  ///< executor id -> rank, -1 if outside.
-};
-
 /// Folds partition `pid` in place into executor `e`'s merged value — the
 /// survivor a refold placed it on — after one merge of that value, as
 /// merge_task_result does, and records `e` as the partition's holder.
@@ -784,7 +770,7 @@ sim::Task<void> fold_into_survivor(Cluster& cl, const ErasedSpec& spec,
 /// Ownership discipline: each executor's partition list is *moved out*
 /// before the first co_await, so no partition is claimed by both paths.
 sim::Task<void> refold_partials(Cluster& cl, const ErasedSpec& spec, int job,
-                                AggMetrics* m, const RingSnapshot* ring,
+                                AggMetrics* m, const RingView* ring,
                                 std::vector<Agg>& per_exec,
                                 std::vector<std::vector<int>>& owned) {
   obs::TraceSink& tr = cl.trace();
@@ -841,11 +827,11 @@ sim::Task<void> refold_partials(Cluster& cl, const ErasedSpec& spec, int job,
   }
 }
 
-sim::Task<RingSnapshot> ring_boundary(Cluster& cl, const ErasedSpec& spec,
-                                      int job, AggMetrics* m,
-                                      std::vector<Agg>& per_exec,
-                                      std::vector<std::vector<int>>& owned,
-                                      JobRing* job_ring) {
+sim::Task<RingView> ring_boundary(Cluster& cl, const ErasedSpec& spec,
+                                  int job, AggMetrics* m,
+                                  std::vector<Agg>& per_exec,
+                                  std::vector<std::vector<int>>& owned,
+                                  JobRing& job_ring) {
   obs::TraceSink& tr = cl.trace();
   co_await cl.sync_membership(/*complete_drains=*/false);
   const int num_exec = cl.num_executors();
@@ -890,17 +876,7 @@ sim::Task<RingSnapshot> ring_boundary(Cluster& cl, const ErasedSpec& spec,
     mig.close();
     cl.membership().complete_drain(d);
   }
-  auto& sc = cl.ring_comm(job_ring);
-  RingSnapshot ring;
-  ring.sc = &sc;
-  ring.n = sc.size();
-  ring.exec_rank.assign(static_cast<std::size_t>(num_exec), -1);
-  ring.rank_exec.resize(static_cast<std::size_t>(ring.n));
-  for (int r = 0; r < ring.n; ++r) {
-    const int e = cl.ring_executor_of_rank(job_ring, r);
-    ring.rank_exec[static_cast<std::size_t>(r)] = e;
-    ring.exec_rank[static_cast<std::size_t>(e)] = r;
-  }
+  RingView ring = job_ring.view();
   co_await refold_partials(cl, spec, job, m, &ring, per_exec, owned);
   co_return ring;
 }
@@ -975,6 +951,7 @@ sim::Task<void> recover_between_attempts(Cluster& cl, const ErasedSpec& spec,
 /// they reference.
 struct JobFrame {
   Cluster& cl;
+  JobRing& ring;  ///< opt.ring, or the cluster's ring for a solo job.
   AggMetrics local;
   const int job;
   AggMetrics* const m;
@@ -986,6 +963,7 @@ struct JobFrame {
   JobFrame(Cluster& c, AggMetrics* out, const JobOptions& opt,
            const char* span_name, const char* kind_counter)
       : cl(validated(c)),
+        ring(opt.ring ? *opt.ring : cl.ring()),
         job(cl.next_job_id()),
         m(reset(out ? out : &local, cl.simulator().now())),
         health(cl.health()),
@@ -1172,9 +1150,9 @@ sim::Task<void> allreduce_rank(Cluster& cl, const ErasedSpec& spec, int job,
 }
 
 /// One SpawnRDD task, pinned to the executor holding `r.rank` in the
-/// attempt's communicator. The rank comes from the attempt's RingSnapshot:
-/// re-deriving it here (rank_of_executor) could trigger a mid-attempt
-/// rebuild if another executor has died since, leaving rank and
+/// attempt's communicator. The rank comes from the attempt's RingView copy:
+/// re-deriving it here (JobRing::view) could trigger a mid-attempt
+/// re-formation if another executor has died since, leaving rank and
 /// communicator inconsistent. Runs the prologue every split stage shares —
 /// launch_task, then the encode pass (encoded) or the dense split pass over
 /// the local aggregator — and then the body of collective `op`, still
@@ -1218,7 +1196,7 @@ sim::Task<void> ring_rank(Cluster& cl, int job, const ErasedSpec& spec,
 /// or their recover.overlap wrapper) exactly the contiguous interval
 /// recovery_time accrues (obs::recovery_from_trace reconstructs it).
 sim::Task<std::any> run_ring_stage(JobFrame& f, const ErasedSpec& spec,
-                                   JobRing* job_ring, comm::CollectiveOp op,
+                                   comm::CollectiveOp op,
                                    std::int64_t result_key) {
   const bool gather = op == comm::CollectiveOp::kReduceScatter;
   const char* span_name = gather ? "stage.ring" : "stage.allreduce";
@@ -1266,18 +1244,19 @@ sim::Task<std::any> run_ring_stage(JobFrame& f, const ErasedSpec& spec,
     try {
       co_await cl.simulator().sleep(cl.spec().rates.scheduler_delay);
       // Stage boundary: membership sync, drained-partial migration, ring
-      // (re)formation and residual refold, all against one rank snapshot
-      // (see ring_boundary for why the ordering is load-bearing).
-      const RingSnapshot ring = co_await ring_boundary(
-          cl, spec, job, m, per_exec, owned, job_ring);
+      // (re)formation and residual refold, all against one copy of the
+      // ring's view (see ring_boundary for why the ordering is
+      // load-bearing).
+      const RingView ring = co_await ring_boundary(cl, spec, job, m, per_exec,
+                                                   owned, f.ring);
       // Without a density_op the density is 1.0: dense specs never price
       // the sparse ring as a win.
       const double density =
           spec.density ? spec.density(sample_aggregator(spec, per_exec)) : 1.0;
       algo = comm::retune_algo(
           op, cl.config().collective_algo, prev_algo,
-          cl.collective_cost_inputs(aggregator_bytes(spec, per_exec), ring.n,
-                                    density));
+          cl.collective_cost_inputs(aggregator_bytes(spec, per_exec),
+                                    ring.size(), density));
       prev_algo = algo;
       const bool encoded =
           comm::algo_row(algo).encoding == comm::Encoding::kSparse &&
@@ -1285,7 +1264,7 @@ sim::Task<std::any> run_ring_stage(JobFrame& f, const ErasedSpec& spec,
       cl.metrics().add(std::string("agg.collective.") + comm::to_string(algo),
                        1);
       RingAttempt st;
-      co_await sim::run_each(cl.simulator(), ring.n, [&](int r) {
+      co_await sim::run_each(cl.simulator(), ring.size(), [&](int r) {
         const int e = ring.rank_exec[static_cast<std::size_t>(r)];
         Agg localv = per_exec[static_cast<std::size_t>(e)];
         // Executors that received no partition contribute a zero aggregator.
@@ -1307,7 +1286,7 @@ sim::Task<std::any> run_ring_stage(JobFrame& f, const ErasedSpec& spec,
       // Stage-level cleanup: the failed attempt's communicator (with any
       // stale in-flight messages) is retired; the next attempt gets a
       // fresh one over the surviving topology.
-      cl.ring_invalidate(job_ring);
+      f.ring.invalidate();
       attempt_scope.close(
           {{"failed", 1}, {"algo", static_cast<std::int64_t>(algo)}});
     }
@@ -1380,14 +1359,14 @@ Result split_aggregate(Cluster& cl, ErasedSpec spec, AggMetrics* metrics,
                        const JobOptions& opt) {
   JobFrame f(cl, metrics, opt, "job.split_aggregate", "agg.jobs.split");
   co_return spec.share(co_await run_ring_stage(
-      f, spec, opt.ring, comm::CollectiveOp::kReduceScatter, -1));
+      f, spec, comm::CollectiveOp::kReduceScatter, -1));
 }
 
 Result split_allreduce(Cluster& cl, ErasedSpec spec, AggMetrics* metrics,
                        std::int64_t result_key, const JobOptions& opt) {
   JobFrame f(cl, metrics, opt, "job.split_allreduce", "agg.jobs.allreduce");
   co_return spec.share(co_await run_ring_stage(
-      f, spec, opt.ring, comm::CollectiveOp::kAllreduce, result_key));
+      f, spec, comm::CollectiveOp::kAllreduce, result_key));
 }
 
 // ---------------------------------------------------------------------------
@@ -1398,9 +1377,10 @@ namespace {
 
 /// One executor's side of the relay: every block through the binomial
 /// broadcast, then (under `store_key >= 0`) its own copy of the value into
-/// its mutable object manager.
-sim::Task<void> relay(Cluster& cl, comm::Communicator& sc, JobRing* ring,
-                      int rank, std::shared_ptr<const void> value, int blocks,
+/// the mutable object manager of `exec`, the executor holding `rank` in the
+/// broadcast's ring view.
+sim::Task<void> relay(Cluster& cl, comm::Communicator& sc, int rank, int exec,
+                      std::shared_ptr<const void> value, int blocks,
                       std::uint64_t per_block, std::int64_t store_key,
                       CopyValue copy) {
   std::shared_ptr<const void> got;
@@ -1409,8 +1389,7 @@ sim::Task<void> relay(Cluster& cl, comm::Communicator& sc, JobRing* ring,
                                             per_block);
   }
   if (store_key >= 0) {
-    Executor& ex = cl.executor(cl.ring_executor_of_rank(ring, rank));
-    auto& obj = ex.mutable_object(store_key, cl.simulator());
+    auto& obj = cl.executor(exec).mutable_object(store_key, cl.simulator());
     obj.value = copy(got.get());
   }
 }
@@ -1420,9 +1399,10 @@ sim::Task<void> relay(Cluster& cl, comm::Communicator& sc, JobRing* ring,
 sim::Task<void> broadcast_erased(Cluster& cl, std::shared_ptr<void> value,
                                  std::uint64_t bytes, std::int64_t store_key,
                                  JobOptions opt, CopyValue copy) {
-  JobRing* const ring = opt.ring;
-  auto& sc = cl.ring_comm(ring);
-  const int n = sc.size();
+  // One copy of the ring's view for the whole broadcast: a re-formation
+  // while blocks are in flight must not move where a rank's copy is stored.
+  const RingView ring = (opt.ring ? *opt.ring : cl.ring()).view();
+  const int n = ring.size();
   obs::TraceSink& tr = cl.trace();
   obs::TraceSink::Scope bcast_scope(
       tr, tr.begin("bcast", "bcast.value", obs::kDriverPid, 0,
@@ -1433,8 +1413,7 @@ sim::Task<void> broadcast_erased(Cluster& cl, std::shared_ptr<void> value,
   // with the same resident state (Cluster::sync_membership).
   cl.note_broadcast(store_key, value, bytes, copy);
   // Seed: driver ships the blob to the executor at ring rank 0.
-  const int seed_exec = cl.ring_executor_of_rank(ring, 0);
-  co_await cl.fetch_blob(Cluster::kDriver, seed_exec, bytes);
+  co_await cl.fetch_blob(Cluster::kDriver, ring.rank_exec[0], bytes);
   // Relay: block-pipelined binomial broadcast among the executors
   // (TorrentBroadcast uses 4 MB blocks; pipelining keeps every relay hop
   // busy so the total is ~transfer time + log-depth latency, not
@@ -1446,8 +1425,8 @@ sim::Task<void> broadcast_erased(Cluster& cl, std::shared_ptr<void> value,
   co_await sim::run_each(cl.simulator(), n, [&](int r) {
     std::shared_ptr<const void> seed;  // only the root starts with the value
     if (r == 0) seed = value;
-    return relay(cl, sc, ring, r, std::move(seed), blocks, per_block,
-                 store_key, copy);
+    return relay(cl, *ring.sc, r, ring.rank_exec[static_cast<std::size_t>(r)],
+                 std::move(seed), blocks, per_block, store_key, copy);
   });
 }
 

@@ -1,6 +1,5 @@
 #include "engine/cluster.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -125,19 +124,6 @@ void Cluster::arm_membership() {
   }
 }
 
-std::vector<int> Cluster::ring_members() {
-  // The health view, not the omniscient fabric: a dead-but-undetected
-  // executor stays in the ring (and fails it again) until the heartbeat
-  // monitor declares it dead; a quarantined executor is excluded exactly
-  // like a dead one, and readmitted when the quarantine lapses. Membership
-  // filters on top: only kActive executors hold ranks.
-  std::vector<int> out;
-  for (int e : health_->usable_executors()) {
-    if (membership_->ring_eligible(e)) out.push_back(e);
-  }
-  return out;
-}
-
 sim::Task<void> Cluster::sync_membership(bool complete_drains) {
   if (complete_drains) {
     for (int e = 0; e < num_executors(); ++e) {
@@ -167,19 +153,14 @@ sim::Task<void> Cluster::sync_membership(bool complete_drains) {
 }
 
 int Cluster::ring_successor(int exec_id) {
-  const auto infos =
-      comm::enumerate_executors(spec_.num_nodes, spec_.executors_per_node);
   std::vector<comm::ExecutorInfo> members;
-  comm::ExecutorInfo leaving;
-  for (const auto& info : infos) {
-    if (info.executor_id == exec_id) {
-      leaving = info;
-    } else if (executor_usable(info.executor_id) &&
-               executor_alive(info.executor_id)) {
-      members.push_back(info);
+  for (int e = 0; e < num_executors(); ++e) {
+    if (e != exec_id && executor_usable(e) && executor_alive(e)) {
+      members.push_back(executor(e).info());
     }
   }
-  return comm::ring_successor_executor(members, leaving, cfg_.topology_aware);
+  return comm::ring_successor_executor(members, executor(exec_id).info(),
+                                       cfg_.topology_aware);
 }
 
 void Cluster::note_broadcast(std::int64_t key, std::shared_ptr<void> value,
@@ -191,41 +172,25 @@ void Cluster::note_broadcast(std::int64_t key, std::shared_ptr<void> value,
   }
 }
 
-void Cluster::invalidate_scalable_comm() {
-  if (sc_) retired_sc_.push_back(std::move(sc_));
-}
-
-Cluster::DemuxConn& Cluster::demux(int from, int to) {
+net::Connection& Cluster::bm_connection(int from, int to) {
   const std::int64_t key =
       (static_cast<std::int64_t>(from + 1) << 24) |
       static_cast<std::int64_t>(to + 1);
-  auto it = demux_.find(key);
-  if (it == demux_.end()) {
+  auto it = bm_conns_.find(key);
+  if (it == bm_conns_.end()) {
     const int src_host =
         (from == kDriver) ? driver_host() : executor(from).host();
     const int dst_host = (to == kDriver) ? driver_host() : executor(to).host();
-    auto dc = std::make_unique<DemuxConn>(*fabric_, src_host, dst_host,
-                                          spec_.bm_link, *sim_);
-    // Pump: route delivered messages to their tag's slot.
-    struct Pump {
-      static sim::Task<void> go(DemuxConn& d) {
-        for (;;) {
-          net::Message m = co_await d.conn.inbox().recv();
-          d.slot(m.tag).send(std::move(m));
-        }
-      }
-    };
-    dc->pump_task = Pump::go(*dc);
-    sim_->schedule_now(dc->pump_task.handle());
-    it = demux_.emplace(key, std::move(dc)).first;
+    it = bm_conns_
+             .emplace(key, std::make_unique<net::Connection>(
+                               *fabric_, src_host, dst_host, spec_.bm_link))
+             .first;
   }
   return *it->second;
 }
 
 sim::Task<void> Cluster::fetch_blob(int from, int to, std::uint64_t bytes) {
-  DemuxConn& dc = demux(from, to);
-  const int tag = fetch_seq_++;
-  auto& slot = dc.slot(tag);
+  net::Connection& conn = bm_connection(from, to);
   const obs::SpanId span = trace_->begin(
       "fetch", to == kDriver ? "fetch.driver" : "fetch.exec",
       to == kDriver ? obs::kDriverPid : obs::exec_pid(to), 0,
@@ -236,148 +201,79 @@ sim::Task<void> Cluster::fetch_blob(int from, int to, std::uint64_t bytes) {
       (from == kDriver) ? driver_host() : executor(from).host();
   co_await sim_->sleep(fabric_->latency(dst_host, src_host) + rpc_overhead_);
   net::Message m;
-  m.tag = tag;
   m.bytes = bytes;
-  dc.conn.post(std::move(m));
-  (void)co_await slot.recv();
-  dc.slots.erase(tag);
+  conn.post(std::move(m));
+  // The connection is FIFO and drops nothing, and every fetch waits right
+  // after it posts, so the k-th waiter receives the k-th blob.
+  (void)co_await conn.inbox().recv();
   trace_->end(span);
 }
 
-Cluster::RingBuild Cluster::build_ring() {
-  const auto infos =
-      comm::enumerate_executors(spec_.num_nodes, spec_.executors_per_node);
-  std::vector<comm::ExecutorInfo> order;
-  for (const auto& e : infos) {
-    if (executor_usable(e.executor_id)) order.push_back(e);
-  }
-  if (order.empty()) {
-    throw std::runtime_error(
-        "no usable executors: cannot build communicator");
-  }
-  if (cfg_.topology_aware) {
-    std::sort(order.begin(), order.end(),
-              [](const comm::ExecutorInfo& a, const comm::ExecutorInfo& b) {
-                if (a.hostname != b.hostname) return a.hostname < b.hostname;
-                return a.executor_id < b.executor_id;
-              });
-  }  // else: keep executor-id order (round-robin across hosts).
-  RingBuild b;
-  b.exec_to_rank.assign(executors_.size(), -1);
-  std::vector<int> rank_to_host;
-  for (const auto& e : order) {
-    b.exec_to_rank[static_cast<std::size_t>(e.executor_id)] =
-        static_cast<int>(b.rank_to_exec.size());
-    b.rank_to_exec.push_back(e.executor_id);
-    rank_to_host.push_back(e.host);
-  }
-  b.comm = std::make_unique<comm::Communicator>(
-      *fabric_, std::move(rank_to_host), spec_.sc_link, cfg_.sai_parallelism,
-      spec_.cores_per_executor);
-  // Fault-fabric node identity of rank r is its executor id, so kill/sever
-  // schedules written in executor ids survive rank renumbering.
-  b.comm->set_rank_to_node(b.rank_to_exec);
-  b.comm->set_recv_timeout(cfg_.collective_timeout);
-  b.members = ring_members();
-  trace_->instant(
-      "membership", "membership.ring_formed", obs::kDriverPid, 0,
-      {{"epoch", membership_->epoch()},
-       {"size", static_cast<std::int64_t>(b.rank_to_exec.size())}});
-  return b;
-}
+JobRing::JobRing(Cluster& cl) : JobRing(cl, /*counted=*/true) {}
 
-void Cluster::rebuild_comm() {
-  RingBuild b = build_ring();
-  invalidate_scalable_comm();
-  sc_ = std::move(b.comm);
-  rank_to_exec_ = std::move(b.rank_to_exec);
-  exec_to_rank_ = std::move(b.exec_to_rank);
-  sc_members_ = std::move(b.members);
-  sc_parallelism_ = cfg_.sai_parallelism;
-  sc_topology_aware_ = cfg_.topology_aware;
+JobRing::JobRing(Cluster& cl, bool counted) : cl_(&cl), counted_(counted) {
+  if (counted_) ++cl_->active_rings_;
 }
-
-comm::Communicator& Cluster::scalable_comm() {
-  if (!sc_ || sc_parallelism_ != cfg_.sai_parallelism ||
-      sc_topology_aware_ != cfg_.topology_aware ||
-      sc_members_ != ring_members()) {
-    rebuild_comm();
-  }
-  sc_->set_recv_timeout(cfg_.collective_timeout);
-  return *sc_;
-}
-
-int Cluster::rank_of_executor(int exec_id) {
-  scalable_comm();
-  return exec_to_rank_.at(static_cast<std::size_t>(exec_id));
-}
-
-int Cluster::executor_of_rank(int rank) {
-  scalable_comm();
-  return rank_to_exec_.at(static_cast<std::size_t>(rank));
-}
-
-comm::Communicator& Cluster::ring_comm(JobRing* ring) {
-  return ring ? ring->comm() : scalable_comm();
-}
-
-int Cluster::ring_rank_of_executor(JobRing* ring, int exec_id) {
-  return ring ? ring->rank_of_executor(exec_id) : rank_of_executor(exec_id);
-}
-
-int Cluster::ring_executor_of_rank(JobRing* ring, int rank) {
-  return ring ? ring->executor_of_rank(rank) : executor_of_rank(rank);
-}
-
-void Cluster::ring_invalidate(JobRing* ring) {
-  if (ring) {
-    ring->invalidate();
-  } else {
-    invalidate_scalable_comm();
-  }
-}
-
-JobRing::JobRing(Cluster& cl) : cl_(&cl) { ++cl_->active_rings_; }
 
 JobRing::~JobRing() {
-  if (sc_) {
-    retired_bytes_ += sc_->total_bytes_delivered();
-    cl_->park_retired_comm(std::move(sc_));
-  }
-  --cl_->active_rings_;
+  invalidate();
+  if (counted_) --cl_->active_rings_;
 }
 
-comm::Communicator& JobRing::comm() {
-  if (!sc_ || parallelism_ != cl_->cfg_.sai_parallelism ||
-      topology_aware_ != cl_->cfg_.topology_aware ||
-      members_ != cl_->ring_members()) {
+const RingView& JobRing::view() {
+  Cluster& cl = *cl_;
+  const EngineConfig& cfg = cl.config();
+  // The health view, not the omniscient fabric: a dead-but-undetected
+  // executor stays in the ring (and fails it again) until the heartbeat
+  // monitor declares it dead; a quarantined executor is excluded exactly
+  // like a dead one, and readmitted when the quarantine lapses. Membership
+  // filters on top: only active executors hold ranks.
+  std::vector<int> members;
+  for (int e = 0; e < cl.num_executors(); ++e) {
+    if (cl.executor_usable(e)) members.push_back(e);
+  }
+  if (!sc_ || parallelism_ != cfg.sai_parallelism ||
+      topology_aware_ != cfg.topology_aware || members_ != members) {
+    if (members.empty()) {
+      throw std::runtime_error(
+          "no usable executors: cannot build communicator");
+    }
     invalidate();
-    Cluster::RingBuild b = cl_->build_ring();
-    sc_ = std::move(b.comm);
-    rank_to_exec_ = std::move(b.rank_to_exec);
-    exec_to_rank_ = std::move(b.exec_to_rank);
-    members_ = std::move(b.members);
-    parallelism_ = cl_->cfg_.sai_parallelism;
-    topology_aware_ = cl_->cfg_.topology_aware;
+    std::vector<comm::ExecutorInfo> order;
+    order.reserve(members.size());
+    for (int e : members) order.push_back(cl.executor(e).info());
+    comm::sort_ring_order(order, cfg.topology_aware);
+    view_.rank_exec.clear();
+    view_.exec_rank.assign(static_cast<std::size_t>(cl.num_executors()), -1);
+    std::vector<int> rank_to_host;
+    for (const auto& x : order) {
+      view_.exec_rank[static_cast<std::size_t>(x.executor_id)] = view_.size();
+      view_.rank_exec.push_back(x.executor_id);
+      rank_to_host.push_back(x.host);
+    }
+    sc_ = std::make_unique<comm::Communicator>(
+        cl.fabric(), std::move(rank_to_host), cl.spec().sc_link,
+        cfg.sai_parallelism, cl.spec().cores_per_executor);
+    // Fault-fabric node identity of rank r is its executor id, so
+    // kill/sever schedules written in executor ids survive rank
+    // renumbering.
+    sc_->set_rank_to_node(view_.rank_exec);
+    view_.sc = sc_.get();
+    members_ = std::move(members);
+    parallelism_ = cfg.sai_parallelism;
+    topology_aware_ = cfg.topology_aware;
+    cl.trace().instant(
+        "membership", "membership.ring_formed", obs::kDriverPid, 0,
+        {{"epoch", cl.membership().epoch()}, {"size", view_.size()}});
   }
-  sc_->set_recv_timeout(cl_->cfg_.collective_timeout);
-  return *sc_;
-}
-
-int JobRing::rank_of_executor(int exec_id) {
-  comm();
-  return exec_to_rank_.at(static_cast<std::size_t>(exec_id));
-}
-
-int JobRing::executor_of_rank(int rank) {
-  comm();
-  return rank_to_exec_.at(static_cast<std::size_t>(rank));
+  sc_->set_recv_timeout(cfg.collective_timeout);
+  return view_;
 }
 
 void JobRing::invalidate() {
   if (sc_) {
     retired_bytes_ += sc_->total_bytes_delivered();
-    cl_->park_retired_comm(std::move(sc_));
+    cl_->retired_sc_.push_back(std::move(sc_));
   }
 }
 

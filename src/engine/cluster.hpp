@@ -17,7 +17,6 @@
 #include "net/fabric.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/channel.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sync.hpp"
 
@@ -26,15 +25,15 @@
 /// task slots, the driver's single-threaded event loop (the serial
 /// bottleneck the paper measures as "Driver" time), data-plane connections
 /// for shuffle and result fetch, the mutable object manager backing
-/// In-Memory Merge, and the scalable communicator used by split
-/// aggregation.
+/// In-Memory Merge, and the rings (scalable communicators) used by split
+/// aggregation and broadcast.
 
 namespace sparker::engine {
 
 using sim::Duration;
 using sim::Time;
 
-class JobRing;
+class Cluster;
 
 namespace detail {
 /// Makes an executor's own copy of a broadcast value.
@@ -56,6 +55,7 @@ class Executor {
   int id() const noexcept { return id_; }
   int host() const noexcept { return host_; }
   const std::string& hostname() const noexcept { return hostname_; }
+  comm::ExecutorInfo info() const { return {id_, host_, hostname_}; }
   sim::Semaphore& cores() noexcept { return cores_; }
 
   /// A value shared by all tasks of a reduced-result stage on this
@@ -86,6 +86,65 @@ class Executor {
   std::string hostname_;
   sim::Semaphore cores_;
   std::unordered_map<std::int64_t, MutableObject> objects_;
+};
+
+/// One formation of a ring: its communicator and the rank <-> executor maps
+/// it was built with. A ring-stage attempt and a broadcast each copy the
+/// view once, when they start, and read only their copy: a membership
+/// change during their awaits re-forms the ring for the *next* attempt and
+/// never shears rank lookups away from the communicator their tasks run on.
+struct RingView {
+  comm::Communicator* sc = nullptr;
+  std::vector<int> rank_exec;  ///< rank -> executor id.
+  std::vector<int> exec_rank;  ///< executor id -> rank, -1 if outside.
+
+  int size() const noexcept { return static_cast<int>(rank_exec.size()); }
+};
+
+/// A ring: the usable executors (`Cluster::executor_usable`) in
+/// `comm::sort_ring_order`, and a scalable communicator over them. The
+/// cluster owns one for solo jobs (`Cluster::ring()`); the multi-tenant
+/// scheduler issues one per job, so concurrent jobs cannot cross-deliver
+/// collective messages on one communicator's channel tags. Every ring spans
+/// the same membership and the same fabric — concurrent rings therefore
+/// contend on host NICs exactly as concurrent Spark jobs contend on real
+/// hardware — but owns its connection set.
+class JobRing {
+ public:
+  /// A scheduler-issued ring, counted in Cluster::concurrent_rings() for
+  /// its lifetime.
+  explicit JobRing(Cluster& cl);
+  ~JobRing();
+  JobRing(const JobRing&) = delete;
+  JobRing& operator=(const JobRing&) = delete;
+
+  /// The current formation, re-formed first when stale: when the usable
+  /// membership, the parallelism or the ordering config changed since it
+  /// was built, or after invalidate(). Each formation is traced as a
+  /// `membership.ring_formed` instant.
+  const RingView& view();
+
+  /// Retires the communicator (parked on the cluster until destruction:
+  /// its pump coroutines and loopback delivery timers may still be in the
+  /// event queue); the next view() re-forms over the surviving topology.
+  void invalidate();
+
+  /// Network bytes this ring's collectives have delivered, summed across
+  /// re-formations — the scheduler's per-job bandwidth accounting.
+  std::uint64_t bytes_delivered() const;
+
+ private:
+  friend class Cluster;
+  JobRing(Cluster& cl, bool counted);
+
+  Cluster* cl_;
+  bool counted_;
+  std::unique_ptr<comm::Communicator> sc_;
+  RingView view_;
+  std::vector<int> members_;  ///< executor ids of view_, ascending.
+  std::uint64_t retired_bytes_ = 0;
+  int parallelism_ = 0;
+  bool topology_aware_ = false;
 };
 
 /// The simulated cluster.
@@ -159,7 +218,7 @@ class Cluster {
   /// both a healthy view (not believed dead, not quarantined) and full
   /// membership (not pre-join, not draining, not departed).
   bool executor_usable(int exec_id) {
-    return health_->usable(exec_id) && membership_->schedulable(exec_id);
+    return health_->usable(exec_id) && membership_->active(exec_id);
   }
 
   // ---- elastic membership --------------------------------------------------
@@ -196,11 +255,6 @@ class Cluster {
     for (const auto& [k, e] : bcast_keyed_) total += e.bytes;
     return total;
   }
-
-  /// Forces the next scalable_comm() call to rebuild over the surviving
-  /// topology. The old communicator is parked, not destroyed: its pump
-  /// coroutines may still be suspended in the event queue mid-simulation.
-  void invalidate_scalable_comm();
 
   // ---- cost model ---------------------------------------------------------
 
@@ -272,40 +326,15 @@ class Cluster {
   static constexpr int kDriver = -1;
   sim::Task<void> fetch_blob(int from, int to, std::uint64_t bytes);
 
-  // ---- scalable communicator (Sparker) -------------------------------------
+  // ---- rings (Sparker's scalable communicator) ----------------------------
 
-  /// The scalable communicator spanning all *live* executors, with ranks
-  /// ordered per the topology-awareness setting. Built lazily; rebuilt if
-  /// the parallelism or ordering config changed, or if executors died since
-  /// last use.
-  comm::Communicator& scalable_comm();
-  int rank_of_executor(int exec_id);
-  int executor_of_rank(int rank);
+  /// The cluster-wide ring solo jobs and broadcasts run on (a job whose
+  /// JobOptions::ring is nullptr). Not counted in concurrent_rings().
+  JobRing& ring() noexcept { return ring_; }
 
-  // ---- per-job rings (multi-tenant scheduling) -----------------------------
-
-  /// Ring access for a (possibly scheduled) job: `ring == nullptr` — the
-  /// solo default — resolves to the shared cluster-wide communicator; a
-  /// scheduler-issued JobRing resolves to that job's private communicator.
-  /// These four calls are the only ring entry points aggregate.hpp and
-  /// broadcast.hpp use, so solo and scheduled jobs share one code path.
-  comm::Communicator& ring_comm(JobRing* ring);
-  int ring_rank_of_executor(JobRing* ring, int exec_id);
-  int ring_executor_of_rank(JobRing* ring, int rank);
-  /// Retires the job's communicator after a collective failure; the next
-  /// ring_comm() rebuilds over the surviving topology.
-  void ring_invalidate(JobRing* ring);
-
-  /// Live isolated per-job rings (one per running scheduled job). The cost
+  /// Live scheduler-issued rings (one per running scheduled job). The cost
   /// model divides NIC bandwidth by this when > 1.
   int concurrent_rings() const noexcept { return active_rings_; }
-
-  /// Parks a retired communicator until cluster destruction: its pump
-  /// coroutines and loopback delivery timers may still be in the event
-  /// queue.
-  void park_retired_comm(std::unique_ptr<comm::Communicator> c) {
-    if (c) retired_sc_.push_back(std::move(c));
-  }
 
   // ---- job bookkeeping ----------------------------------------------------
 
@@ -314,43 +343,10 @@ class Cluster {
  private:
   friend class JobRing;
 
-  /// One freshly built communicator over the current usable membership,
-  /// plus its rank maps — shared by the cluster-wide rebuild and per-job
-  /// JobRing builds.
-  struct RingBuild {
-    std::unique_ptr<comm::Communicator> comm;
-    std::vector<int> rank_to_exec;
-    std::vector<int> exec_to_rank;
-    std::vector<int> members;
-  };
-  RingBuild build_ring();
-
-  struct DemuxConn {
-    explicit DemuxConn(net::Fabric& f, int src_host, int dst_host,
-                       net::LinkParams link, sim::Simulator& s)
-        : conn(f, src_host, dst_host, link), sim(&s) {}
-    net::Connection conn;
-    sim::Simulator* sim;
-    std::unordered_map<int, std::unique_ptr<sim::Channel<net::Message>>>
-        slots;
-    sim::Task<void> pump_task;
-
-    sim::Channel<net::Message>& slot(int tag) {
-      auto it = slots.find(tag);
-      if (it == slots.end()) {
-        it = slots.emplace(tag, std::make_unique<sim::Channel<net::Message>>(
-                                    *sim))
-                 .first;
-      }
-      return *it->second;
-    }
-  };
-
-  DemuxConn& demux(int from, int to);
-  void rebuild_comm();
+  /// The BlockManager connection `from` -> `to`, made on first use.
+  net::Connection& bm_connection(int from, int to);
   void arm_faults();
   void arm_membership();
-  std::vector<int> ring_members();
 
   sim::Simulator* sim_;
   net::ClusterSpec spec_;
@@ -371,67 +367,24 @@ class Cluster {
   std::uint64_t bcast_latest_bytes_ = 0;
   sim::FifoServer driver_loop_;
   Duration rpc_overhead_ = sim::microseconds(150);
-  std::unordered_map<std::int64_t, std::unique_ptr<DemuxConn>> demux_;
-  int fetch_seq_ = 0;
+  std::unordered_map<std::int64_t, std::unique_ptr<net::Connection>>
+      bm_conns_;
   int job_seq_ = 0;
-  int active_rings_ = 0;  ///< live JobRing count (concurrent scheduled jobs).
+  int active_rings_ = 0;  ///< live scheduler-issued JobRing count.
 
-  std::unique_ptr<comm::Communicator> sc_;
   // Retired communicators: destroyed only with the cluster, because their
   // pump coroutines and loopback delivery timers may still be in the event
   // queue.
   std::vector<std::unique_ptr<comm::Communicator>> retired_sc_;
-  int sc_parallelism_ = 0;
-  bool sc_topology_aware_ = false;
-  std::vector<int> sc_members_;  ///< executor ids the current comm spans.
-  std::vector<int> rank_to_exec_;
-  std::vector<int> exec_to_rank_;
-};
-
-/// A per-job view of the scalable communicator, issued by the multi-tenant
-/// scheduler so concurrent jobs cannot cross-deliver collective messages on
-/// the shared communicator's channel tags. Each ring spans the same live
-/// membership and the same fabric as the shared communicator — concurrent
-/// rings therefore contend on host NICs exactly as concurrent Spark jobs
-/// contend on real hardware — but owns its connection set. Solo call sites
-/// pass no JobRing and keep the shared communicator, bit for bit.
-class JobRing {
- public:
-  explicit JobRing(Cluster& cl);
-  ~JobRing();
-  JobRing(const JobRing&) = delete;
-  JobRing& operator=(const JobRing&) = delete;
-
-  /// The job's communicator; built lazily, rebuilt when the live membership
-  /// or ring config changed (same staleness rule as Cluster::scalable_comm).
-  comm::Communicator& comm();
-  int rank_of_executor(int exec_id);
-  int executor_of_rank(int rank);
-
-  /// Retires the communicator (parked on the cluster until destruction);
-  /// the next comm() rebuilds over the surviving topology.
-  void invalidate();
-
-  /// Network bytes this job's collectives have delivered, summed across
-  /// rebuilds — the scheduler's per-job bandwidth accounting.
-  std::uint64_t bytes_delivered() const;
-
- private:
-  Cluster* cl_;
-  std::unique_ptr<comm::Communicator> sc_;
-  std::uint64_t retired_bytes_ = 0;
-  int parallelism_ = 0;
-  bool topology_aware_ = false;
-  std::vector<int> members_;
-  std::vector<int> rank_to_exec_;
-  std::vector<int> exec_to_rank_;
+  // Declared after retired_sc_: its destructor parks its communicator there.
+  JobRing ring_{*this, /*counted=*/false};
 };
 
 /// Per-job options the scheduler threads through the broadcast/aggregate
-/// entry points. Default-constructed options describe a solo job: shared
-/// cluster ring, no tenant attribution — the exact pre-scheduler behaviour.
+/// entry points. Default-constructed options describe a solo job: the
+/// cluster's ring, no tenant attribution — the exact pre-scheduler behaviour.
 struct JobOptions {
-  JobRing* ring = nullptr;  ///< nullptr = shared cluster-wide communicator.
+  JobRing* ring = nullptr;  ///< nullptr = the cluster's ring().
   int tenant = -1;          ///< tenant id for span/metric attribution.
   int sched_job = -1;       ///< scheduler job id (spans carry both ids).
 };

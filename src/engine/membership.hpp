@@ -28,7 +28,8 @@
 ///    becomes *admittable* and is admitted at the next stage boundary.
 ///  * **warming** — admitted; the driver is transferring resident broadcast
 ///    state so the newcomer can take tasks without a cold fetch per task.
-///  * **active** — a full member: schedulable, ring-eligible, monitored.
+///  * **active** — a full member (`active()`): takes new tasks, holds a
+///    rank in the next ring formation, monitored.
 ///  * **draining** — a planned decommission is in progress. The executor
 ///    takes no *new* work but finishes in-flight tasks; at the next ring
 ///    boundary its reduce-scatter partials migrate to its ring successor
@@ -42,8 +43,8 @@
 /// here is a no-op, so static-cluster runs are bit-identical to before.
 ///
 /// The *ring epoch* increments on every membership change that alters ring
-/// eligibility; Cluster uses it (plus the health view) to decide when the
-/// scalable communicator must be re-formed.
+/// eligibility; each ring formation is stamped with it. Whether a ring must
+/// re-form is decided by comparing member lists (JobRing::view).
 
 namespace sparker::engine {
 
@@ -108,10 +109,9 @@ class MembershipManager {
     const State s = state(e);
     return s == State::kActive || s == State::kDraining;
   }
-  /// May take *new* tasks. Draining executors only finish in-flight work.
-  bool schedulable(int e) const { return state(e) == State::kActive; }
-  /// May hold a rank in the next ring formation.
-  bool ring_eligible(int e) const { return state(e) == State::kActive; }
+  /// A full member: may take *new* tasks and hold a rank in the next ring
+  /// formation. Draining executors only finish in-flight work.
+  bool active(int e) const { return state(e) == State::kActive; }
   bool draining(int e) const { return state(e) == State::kDraining; }
 
   /// Joiners whose process has arrived: ready to be admitted (warm-up) at

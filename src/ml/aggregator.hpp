@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -46,9 +47,8 @@ struct GradientAggregator {
   /// collective tuner prices the sparse ring with.
   double density() const {
     if (flat.empty()) return 1.0;
-    std::size_t nnz = 0;
-    for (double x : flat) nnz += x != 0.0;
-    return static_cast<double>(nnz) / static_cast<double>(flat.size());
+    return static_cast<double>(comp::SparseCodec<double>::count_nonzero(flat)) /
+           static_cast<double>(flat.size());
   }
 
   // Wire codec (ser::Serializable): sparse-aware — the codec picks
@@ -64,12 +64,9 @@ struct GradientAggregator {
     return agg;
   }
   std::uint64_t serialized_bytes() const {
-    std::size_t nnz = 0;
-    for (double x : flat) nnz += x != 0.0;
-    const std::uint64_t dense =
-        comp::SparseCodec<double>::dense_bytes(flat.size());
-    const std::uint64_t sparse = comp::SparseCodec<double>::sparse_bytes(nnz);
-    return sparse < dense ? sparse : dense;
+    using Codec = comp::SparseCodec<double>;
+    return std::min(Codec::sparse_bytes(Codec::count_nonzero(flat)),
+                    Codec::dense_bytes(flat.size()));
   }
 };
 

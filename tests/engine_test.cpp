@@ -124,14 +124,16 @@ TEST(Cluster, RankMappingTopologyAware) {
   Cluster cl(sim, small_spec());
   cl.config().topology_aware = true;
   // Sorted by hostname: ranks 0,1 on host 0; ranks 2,3 on host 1.
-  auto& sc = cl.scalable_comm();
-  EXPECT_EQ(sc.host_of(0), 0);
-  EXPECT_EQ(sc.host_of(1), 0);
-  EXPECT_EQ(sc.host_of(2), 1);
-  EXPECT_EQ(sc.host_of(3), 1);
+  const RingView& v = cl.ring().view();
+  EXPECT_EQ(v.sc->host_of(0), 0);
+  EXPECT_EQ(v.sc->host_of(1), 0);
+  EXPECT_EQ(v.sc->host_of(2), 1);
+  EXPECT_EQ(v.sc->host_of(3), 1);
   // exec <-> rank round trip.
   for (int e = 0; e < cl.num_executors(); ++e) {
-    EXPECT_EQ(cl.executor_of_rank(cl.rank_of_executor(e)), e);
+    EXPECT_EQ(v.rank_exec.at(static_cast<std::size_t>(
+                  v.exec_rank.at(static_cast<std::size_t>(e)))),
+              e);
   }
 }
 
@@ -139,11 +141,74 @@ TEST(Cluster, RankMappingNotAwareInterleavesHosts) {
   Simulator sim;
   Cluster cl(sim, small_spec());
   cl.config().topology_aware = false;
-  auto& sc = cl.scalable_comm();
+  auto& sc = *cl.ring().view().sc;
   EXPECT_EQ(sc.host_of(0), 0);
   EXPECT_EQ(sc.host_of(1), 1);
   EXPECT_EQ(sc.host_of(2), 0);
   EXPECT_EQ(sc.host_of(3), 1);
+}
+
+std::int64_t ring_formations(const Cluster& cl) {
+  return std::count_if(cl.trace().events().begin(), cl.trace().events().end(),
+                       [](const obs::TraceEvent& ev) {
+                         return std::string(ev.name) ==
+                                "membership.ring_formed";
+                       });
+}
+
+// The cluster's ring and a scheduler-style JobRing over the same cluster
+// are one ring type: the same rank maps, and each re-forms exactly once
+// after one membership change.
+TEST(Cluster, RankMappingSameForClusterRingAndJobRing) {
+  for (const bool aware : {true, false}) {
+    SCOPED_TRACE(aware ? "topology aware" : "executor-id order");
+    Simulator sim;
+    EngineConfig cfg;
+    cfg.trace.enabled = true;
+    cfg.topology_aware = aware;
+    Cluster cl(sim, small_spec(3), cfg);
+    JobRing job_ring(cl);
+    EXPECT_EQ(cl.concurrent_rings(), 1) << "the cluster's ring is not counted";
+
+    const RingView solo = cl.ring().view();
+    const RingView job = job_ring.view();
+    EXPECT_EQ(solo.rank_exec, job.rank_exec);
+    EXPECT_EQ(solo.exec_rank, job.exec_rank);
+    EXPECT_NE(solo.sc, job.sc) << "each ring owns its communicator";
+    EXPECT_EQ(ring_formations(cl), 2);
+    (void)cl.ring().view();
+    (void)job_ring.view();
+    EXPECT_EQ(ring_formations(cl), 2) << "a fresh ring is not re-formed";
+
+    cl.faults().kill_node(solo.rank_exec[1]);
+    const RingView solo2 = cl.ring().view();
+    EXPECT_EQ(ring_formations(cl), 3);
+    const RingView job2 = job_ring.view();
+    EXPECT_EQ(ring_formations(cl), 4);
+    EXPECT_EQ(solo2.size(), solo.size() - 1);
+    EXPECT_EQ(solo2.rank_exec, job2.rank_exec);
+    EXPECT_EQ(solo2.exec_rank, job2.exec_rank);
+    EXPECT_EQ(solo2.exec_rank[static_cast<std::size_t>(solo.rank_exec[1])],
+              -1);
+  }
+}
+
+// A drained executor's partials go to ring_successor(e): the executor one
+// rank after e in the ring as it is formed right now.
+TEST(Cluster, RingSuccessorIsNextRankOfFreshRing) {
+  for (const bool aware : {true, false}) {
+    SCOPED_TRACE(aware ? "topology aware" : "executor-id order");
+    Simulator sim;
+    Cluster cl(sim, small_spec(3));
+    cl.config().topology_aware = aware;
+    const RingView v = cl.ring().view();
+    for (int e = 0; e < cl.num_executors(); ++e) {
+      const int r = v.exec_rank[static_cast<std::size_t>(e)];
+      EXPECT_EQ(cl.ring_successor(e),
+                v.rank_exec[static_cast<std::size_t>((r + 1) % v.size())])
+          << "executor " << e;
+    }
+  }
 }
 
 class AggModeParity : public ::testing::TestWithParam<AggMode> {};

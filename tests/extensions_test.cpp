@@ -256,13 +256,57 @@ TEST(EngineBroadcast, EachJoinerOwnsItsCopyOfAKeyedBroadcast) {
     return std::static_pointer_cast<CopyCounted>(
         cl.executor(e).mutable_object(kKey, sim).value);
   };
-  ASSERT_TRUE(cl.membership().schedulable(4));
-  ASSERT_TRUE(cl.membership().schedulable(5));
+  ASSERT_TRUE(cl.membership().active(4));
+  ASSERT_TRUE(cl.membership().active(5));
   ASSERT_TRUE(replica(5));
   replica(5)->v = -1;
   EXPECT_EQ(value->v, 7);
   EXPECT_EQ(replica(0)->v, 7);
   EXPECT_EQ(replica(4)->v, 7);
+}
+
+TEST(EngineBroadcast, RingReformingMidRelayStoresOnTheBroadcastsOwnRanks) {
+  // Executor 0 (node000, the first in ring order) is quarantined when a
+  // keyed broadcast starts, so the broadcast's ring leaves it out. The
+  // quarantine lapses while blocks are still in flight, so the ring
+  // re-forms with executor 0 back at rank 0. Every rank must still store its
+  // copy on the executor that held it when the broadcast started.
+  Simulator sim;
+  net::ClusterSpec spec = net::ClusterSpec::bic(2);  // 12 executors
+  spec.fabric.gc.enabled = false;
+  engine::EngineConfig cfg;
+  cfg.health.quarantine = true;
+  cfg.health.quarantine_max_failures = 1;
+  cfg.health.quarantine_duration = sim::milliseconds(150);
+  engine::Cluster cl(sim, spec, cfg);
+  auto value = std::make_shared<CopyCounted>(7);
+  constexpr std::int64_t kKey = 78;
+  sim::Time end = 0;
+  auto job = [&]() -> Task<void> {
+    cl.health().record_failure(0);
+    // 256 MB travels as 64 pipelined 4 MB relay blocks.
+    co_await engine::broadcast_value(cl, value, 256ull << 20, kKey);
+    end = sim.now();
+  };
+  CopyCounted::copies = 0;
+  ASSERT_NO_THROW(sim.run_task(job()));
+  ASSERT_GT(end, cfg.health.quarantine_duration)
+      << "the quarantine must lapse while the broadcast is in flight";
+  EXPECT_TRUE(cl.health().usable(0));
+  EXPECT_EQ(cl.ring().view().exec_rank[0], 0) << "the ring re-formed";
+
+  EXPECT_FALSE(cl.executor(0).mutable_object(kKey, sim).value)
+      << "executor 0 received no blocks, so it stores no copy";
+  EXPECT_EQ(CopyCounted::copies, cl.num_executors() - 1);
+  std::vector<const void*> replicas{value.get()};
+  for (int e = 1; e < cl.num_executors(); ++e) {
+    auto& obj = cl.executor(e).mutable_object(kKey, sim);
+    ASSERT_TRUE(obj.value) << "executor " << e;
+    EXPECT_EQ(std::static_pointer_cast<CopyCounted>(obj.value)->v, 7);
+    replicas.push_back(obj.value.get());
+  }
+  std::sort(replicas.begin(), replicas.end());
+  EXPECT_EQ(std::unique(replicas.begin(), replicas.end()), replicas.end());
 }
 
 // ---------------------------------------------------------------------------

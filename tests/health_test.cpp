@@ -325,7 +325,7 @@ TEST(HealthEngine, FlakyExecutorQuarantinedThenRejoinsLaterRing) {
     // Let the quarantine lapse, then run a second job over the full ring.
     co_await sim.sleep(sim::seconds(3));
     v2 = co_await e::split_aggregate(cl, rdd, spec, &s2);
-    rejoined_rank = cl.rank_of_executor(1);
+    rejoined_rank = cl.ring().view().exec_rank.at(1);
   };
   sim.run_task(jobs());
 

@@ -218,7 +218,7 @@ TEST(MembershipStateMachine, JoinLifecycleThroughFabricEvents) {
   // Named in a join event: outside the cluster until it fires.
   EXPECT_EQ(mgr.state(3), State::kJoining);
   EXPECT_FALSE(mgr.member(3));
-  EXPECT_FALSE(mgr.ring_eligible(3));
+  EXPECT_FALSE(mgr.active(3));
   for (int ex = 0; ex < 3; ++ex) EXPECT_EQ(mgr.state(ex), State::kActive);
 
   // Provisioned but not launched: not yet admittable.
@@ -236,11 +236,10 @@ TEST(MembershipStateMachine, JoinLifecycleThroughFabricEvents) {
   const std::int64_t epoch0 = mgr.epoch();
   mgr.begin_warmup(3);
   EXPECT_EQ(mgr.state(3), State::kWarming);
-  EXPECT_FALSE(mgr.ring_eligible(3));  // not until the transfer lands
+  EXPECT_FALSE(mgr.active(3));  // not until the transfer lands
   mgr.complete_warmup(3);
   EXPECT_EQ(mgr.state(3), State::kActive);
-  EXPECT_TRUE(mgr.ring_eligible(3));
-  EXPECT_TRUE(mgr.schedulable(3));
+  EXPECT_TRUE(mgr.active(3));
   EXPECT_EQ(mgr.epoch(), epoch0 + 1);
   EXPECT_EQ(mgr.stats().joins_admitted, 1);
 }
@@ -259,8 +258,7 @@ TEST(MembershipStateMachine, DecommissionDrainRejoinAndJoinerCancel) {
   mgr.on_fabric_event(0, 2, Kind::kDecommission);
   EXPECT_EQ(mgr.state(2), State::kDraining);
   EXPECT_TRUE(mgr.member(2));          // still heartbeats
-  EXPECT_FALSE(mgr.schedulable(2));    // no new work
-  EXPECT_FALSE(mgr.ring_eligible(2));  // out of the next ring
+  EXPECT_FALSE(mgr.active(2));  // no new work, out of the next ring
   EXPECT_TRUE(mgr.boundary_work_pending());
   const std::int64_t epoch_draining = mgr.epoch();
 

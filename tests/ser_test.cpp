@@ -330,6 +330,22 @@ TEST(SparseCodec, SparseAggregatorWireFormatShrinks) {
   EXPECT_LT(agg.serialized_bytes(), agg.flat.size() * sizeof(double));
   const ml::GradientAggregator back = roundtrip(agg);
   EXPECT_EQ(back.flat, agg.flat);
+
+  // density() and serialized_bytes() count with the codec's bit-level
+  // nonzero test, which agrees with `x != 0.0` on the edge values: -0.0 is
+  // zero; NaN, both infinities and subnormals of either sign are not.
+  agg.grad()[10] = -0.0;
+  agg.grad()[20] = std::numeric_limits<double>::quiet_NaN();
+  agg.grad()[30] = std::numeric_limits<double>::infinity();
+  agg.grad()[40] = -std::numeric_limits<double>::infinity();
+  agg.grad()[50] = std::numeric_limits<double>::denorm_min();
+  agg.grad()[60] = -std::numeric_limits<double>::denorm_min();
+  std::size_t want_nnz = 0;
+  for (double x : agg.flat) want_nnz += x != 0.0;
+  ASSERT_EQ(want_nnz, 8u);
+  EXPECT_EQ(DCodec::count_nonzero(agg.flat), want_nnz);
+  EXPECT_EQ(agg.density(), 8.0 / static_cast<double>(agg.flat.size()));
+  EXPECT_EQ(agg.serialized_bytes(), DCodec::sparse_bytes(8));
 }
 
 // ---------------------------------------------------------------------------
