@@ -29,17 +29,20 @@ int main(int argc, char** argv) {
     const auto spec = bench::bic_with_nodes(nodes);
     const auto r =
         bench::run_e2e(spec, engine::AggMode::kTree, w, iters);
+    const double compute = sim::to_seconds(r.breakdown.agg_compute);
+    const double reduce = sim::to_seconds(r.breakdown.agg_reduce);
     if (nodes == 1) {
-      c1 = r.agg_compute_s;
-      r1 = r.agg_reduce_s;
+      c1 = compute;
+      r1 = reduce;
     }
     if (nodes == 8) {
-      c8 = r.agg_compute_s;
-      r8 = r.agg_reduce_s;
+      c8 = compute;
+      r8 = reduce;
     }
     t.add_row({std::to_string(nodes), std::to_string(spec.total_cores()),
-               bench::fmt(r.agg_compute_s, 1), bench::fmt(r.agg_reduce_s, 1),
-               bench::fmt(r.non_agg_s, 1), bench::fmt(r.driver_s, 1),
+               bench::fmt(compute, 1), bench::fmt(reduce, 1),
+               bench::fmt(sim::to_seconds(r.breakdown.non_agg), 1),
+               bench::fmt(sim::to_seconds(r.breakdown.driver), 1),
                bench::fmt(r.total_s, 1)});
   }
   t.print();

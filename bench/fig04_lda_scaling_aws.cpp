@@ -28,21 +28,24 @@ int main(int argc, char** argv) {
   for (int cores : {8, 24, 48, 96, 192, 480, 960}) {
     const auto spec = bench::aws_with_cores(cores);
     const auto r = bench::run_e2e(spec, engine::AggMode::kTree, w, iters);
-    const double pct = 100.0 * r.agg_reduce_s / r.total_s;
+    const double compute = sim::to_seconds(r.breakdown.agg_compute);
+    const double reduce = sim::to_seconds(r.breakdown.agg_reduce);
+    const double pct = 100.0 * reduce / r.total_s;
     if (cores == 8) {
-      c8 = r.agg_compute_s;
-      r8 = r.agg_reduce_s;
+      c8 = compute;
+      r8 = reduce;
       pct8 = pct;
     }
     if (cores == 960) {
-      c960 = r.agg_compute_s;
-      r960 = r.agg_reduce_s;
+      c960 = compute;
+      r960 = reduce;
       pct960 = pct;
     }
-    t.add_row({std::to_string(cores), bench::fmt(r.agg_compute_s, 1),
-               bench::fmt(r.agg_reduce_s, 1), bench::fmt(r.non_agg_s, 1),
-               bench::fmt(r.driver_s, 1), bench::fmt(r.total_s, 1),
-               bench::fmt(pct, 1)});
+    t.add_row({std::to_string(cores), bench::fmt(compute, 1),
+               bench::fmt(reduce, 1),
+               bench::fmt(sim::to_seconds(r.breakdown.non_agg), 1),
+               bench::fmt(sim::to_seconds(r.breakdown.driver), 1),
+               bench::fmt(r.total_s, 1), bench::fmt(pct, 1)});
   }
   t.print();
   bench::JsonReport("fig04_lda_scaling_aws").add_table("results", t).with_sim_speed().write();

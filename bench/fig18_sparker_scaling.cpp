@@ -32,20 +32,23 @@ int main(int argc, char** argv) {
     const auto spark = bench::run_e2e(spec, engine::AggMode::kTree, w, iters);
     const auto sparker =
         bench::run_e2e(spec, engine::AggMode::kSplit, w, iters);
-    const double reduce_speedup = spark.agg_reduce_s / sparker.agg_reduce_s;
+    const double reduce_speedup =
+        sim::to_seconds(spark.breakdown.agg_reduce) /
+        sim::to_seconds(sparker.breakdown.agg_reduce);
     if (cores == 8) s8 = reduce_speedup;
     if (cores == 960) s960 = reduce_speedup;
-    t.add_row({std::to_string(cores), "Spark",
-               bench::fmt(spark.agg_compute_s, 1),
-               bench::fmt(spark.agg_reduce_s, 1),
-               bench::fmt(spark.non_agg_s, 1), bench::fmt(spark.driver_s, 1),
-               bench::fmt(spark.total_s, 1), ""});
-    t.add_row({"", "Sparker", bench::fmt(sparker.agg_compute_s, 1),
-               bench::fmt(sparker.agg_reduce_s, 1),
-               bench::fmt(sparker.non_agg_s, 1),
-               bench::fmt(sparker.driver_s, 1),
-               bench::fmt(sparker.total_s, 1),
-               bench::fmt_times(reduce_speedup, 2)});
+    const auto add_row = [&t](std::string label, const char* mode,
+                              const bench::E2eResult& r, std::string last) {
+      const obs::PhaseBreakdown& b = r.breakdown;
+      t.add_row({std::move(label), mode,
+                 bench::fmt(sim::to_seconds(b.agg_compute), 1),
+                 bench::fmt(sim::to_seconds(b.agg_reduce), 1),
+                 bench::fmt(sim::to_seconds(b.non_agg), 1),
+                 bench::fmt(sim::to_seconds(b.driver), 1),
+                 bench::fmt(r.total_s, 1), std::move(last)});
+    };
+    add_row(std::to_string(cores), "Spark", spark, "");
+    add_row("", "Sparker", sparker, bench::fmt_times(reduce_speedup, 2));
   }
   t.print();
   bench::JsonReport report("fig18_sparker_scaling");

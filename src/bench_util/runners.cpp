@@ -184,21 +184,9 @@ E2eResult run_e2e(const net::ClusterSpec& spec, engine::AggMode mode,
     co_return co_await ml::run_workload(cl, workload, iterations);
   };
   const ml::WorkloadRun run = sim.run_task(job());
-  E2eResult r;
-  r.total_s = sim::to_seconds(run.total);
-  r.driver_s = sim::to_seconds(run.breakdown.driver);
-  r.non_agg_s = sim::to_seconds(run.breakdown.non_agg);
-  r.agg_compute_s = sim::to_seconds(run.breakdown.agg_compute);
-  r.agg_reduce_s = sim::to_seconds(run.breakdown.agg_reduce);
-  r.broadcast_s = sim::to_seconds(run.breakdown.broadcast);
+  E2eResult r{sim::to_seconds(run.total), run.breakdown, std::nullopt};
   if (cfg.trace.enabled) {
-    r.traced = true;
-    const obs::PhaseBreakdown ph = obs::phase_breakdown(cl.trace());
-    r.trace_driver_s = sim::to_seconds(ph.driver);
-    r.trace_non_agg_s = sim::to_seconds(ph.non_agg);
-    r.trace_agg_compute_s = sim::to_seconds(ph.agg_compute);
-    r.trace_agg_reduce_s = sim::to_seconds(ph.agg_reduce);
-    r.trace_broadcast_s = sim::to_seconds(ph.broadcast);
+    r.traced = obs::phase_breakdown(cl.trace());
     if (!opt.trace_out.empty()) {
       obs::write_chrome_trace(cl.trace(), opt.trace_out);
     }

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "engine/rdd.hpp"
 #include "ml/workload.hpp"
 #include "net/cluster.hpp"
+#include "obs/export.hpp"
 #include "sim/simulator.hpp"
 
 /// \file runners.hpp
@@ -103,21 +105,9 @@ AggBenchResult aggregation_bench(const net::ClusterSpec& spec,
 /// four-component decomposition plus total seconds.
 struct E2eResult {
   double total_s = 0;
-  double driver_s = 0;
-  double non_agg_s = 0;
-  double agg_compute_s = 0;
-  double agg_reduce_s = 0;
-  /// Broadcast share of non_agg_s (model shipping; already included there).
-  double broadcast_s = 0;
-  /// Trace-derived phase totals (obs::phase_breakdown over the run's
-  /// TraceSink). Valid only when the run was traced; the fig02 bench
-  /// cross-checks them against the ad-hoc accounting above.
-  bool traced = false;
-  double trace_driver_s = 0;
-  double trace_non_agg_s = 0;
-  double trace_agg_compute_s = 0;
-  double trace_agg_reduce_s = 0;
-  double trace_broadcast_s = 0;
+  obs::PhaseBreakdown breakdown;  ///< the drivers' own accounting.
+  /// obs::phase_breakdown over the run's trace; set only when traced.
+  std::optional<obs::PhaseBreakdown> traced;
 };
 struct E2eOptions {
   bool trace = false;       ///< record a trace (implied by trace_out).

@@ -72,7 +72,6 @@ class Communicator {
   /// Deadline for a blocking `recv`; 0 disables timeout detection (a hung
   /// recv then deadlocks the simulation, as before this fabric existed).
   void set_recv_timeout(sim::Duration timeout) { recv_timeout_ = timeout; }
-  sim::Duration recv_timeout() const noexcept { return recv_timeout_; }
 
   /// Maps each rank to the FaultFabric node identity used for kill/sever
   /// queries. Defaults to the identity map (rank r is fault node r); the
@@ -102,7 +101,7 @@ class Communicator {
     m.channel = channel;
     // Node-level and channel-level faults, evaluated at post time: a dead
     // endpoint or a severed channel silently loses the message. The
-    // receiver observes the loss only as a hung recv (see recv_timeout).
+    // receiver observes the loss only as a hung recv (see set_recv_timeout).
     net::FaultFabric& faults = fabric_->faults();
     const int src_node = node_of(src);
     const int dst_node = node_of(dst);

@@ -9,6 +9,7 @@
 #include "comm/collectives.hpp"
 #include "comm/registry.hpp"
 #include "engine/broadcast.hpp"
+#include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -395,7 +396,6 @@ sim::Task<void> merge_task_result(Cluster& cl, const ErasedSpec& spec,
           {{"job", job}, {"bytes", static_cast<std::int64_t>(mbytes)}}));
   co_await cl.simulator().sleep(cl.merge_cost(mbytes));
   spec.fold_into(obj.value.get(), task);
-  ++obj.merges;
 }
 
 /// One racing attempt of compute-stage task `task`: the primary, or a
@@ -992,11 +992,10 @@ struct JobFrame {
   /// excludes zombies running out their last attempt).
   sim::Task<void> finish() {
     m->end = cl.simulator().now();
-    obs::TraceSink& tr = cl.trace();
-    tr.span_at("phase", "agg_compute", obs::kDriverPid, 0, m->start,
-               m->compute_done, {{"job", job}});
-    tr.span_at("phase", "agg_reduce", obs::kDriverPid, 0, m->compute_done,
-               m->end, {{"job", job}});
+    obs::phase_span(cl.trace(), obs::Phase::kAggCompute, m->start,
+                    m->compute_done, {{"job", job}});
+    obs::phase_span(cl.trace(), obs::Phase::kAggReduce, m->compute_done,
+                    m->end, {{"job", job}});
     span.close();
     co_await spec_attempts.wait();
   }

@@ -63,7 +63,6 @@ class Executor {
   struct MutableObject {
     std::shared_ptr<void> value;
     std::unique_ptr<sim::Semaphore> lock;
-    int merges = 0;
   };
 
   MutableObject& mutable_object(std::int64_t key, sim::Simulator& s) {
@@ -197,15 +196,6 @@ class Cluster {
     return fabric_->faults().node_alive(exec_id);
   }
 
-  /// Number of executors still alive.
-  int num_alive_executors() const {
-    int n = 0;
-    for (int e = 0; e < num_executors(); ++e) {
-      if (executor_alive(e)) ++n;
-    }
-    return n;
-  }
-
   // ---- health-aware scheduling view ---------------------------------------
 
   /// The driver's health view (heartbeat detection, speculation accounting,
@@ -236,9 +226,12 @@ class Cluster {
   /// simulated-time cost, when there is no membership work pending.
   sim::Task<void> sync_membership(bool complete_drains);
 
-  /// Executor id of the member that will follow `exec_id` in the *next*
-  /// ring formation (the migration target for its partials), or -1 if no
-  /// other member exists.
+  /// Migration target for `exec_id`'s partials: the executor that follows
+  /// it in ring order among the other members that are usable *and* alive
+  /// in the fabric, or -1 if there is none. With heartbeats on, a killed
+  /// executor not yet declared dead still ranks in the next formation
+  /// (which reads the health view only), but is skipped here, so a drain
+  /// never migrates onto a dead executor.
   int ring_successor(int exec_id);
 
   /// Records broadcast state resident on the executors so join warm-up can

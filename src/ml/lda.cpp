@@ -98,18 +98,10 @@ sim::Task<LdaResult> train_lda(engine::Cluster& cl,
       (cfg.e_step_inner + 1) * static_cast<double>(cfg.per_token_topic);
 
   const bool use_split = cl.config().agg_mode == engine::AggMode::kSplit;
+  IterationPhases phases(cl, result.breakdown);
   for (int iter = 1; iter <= cfg.iterations; ++iter) {
-    // --- Non-agg: broadcast beta -------------------------------------------
-    sim::Time t0 = sim.now();
-    co_await broadcast_blob(
-        cl, static_cast<std::uint64_t>(modeled_cells * sizeof(double)));
-    // Broadcast share of the non_agg bucket (see train_linear).
-    cl.trace().span_at("phase", "broadcast", obs::kDriverPid, 0, t0, sim.now(),
-                       {{"iter", iter}});
-    result.breakdown.broadcast += sim.now() - t0;
-    cl.trace().span_at("phase", "non_agg", obs::kDriverPid, 0, t0, sim.now(),
-                       {{"iter", iter}});
-    result.breakdown.non_agg += sim.now() - t0;
+    co_await phases.ship_model(
+        iter, static_cast<std::uint64_t>(modeled_cells * sizeof(double)));
 
     // --- Aggregation: distributed E-step ------------------------------------
     auto beta_shared = std::make_shared<const DenseVector>(beta);
@@ -155,22 +147,14 @@ sim::Task<LdaResult> train_lda(engine::Cluster& cl,
     } else {
       flat = co_await engine::tree_aggregate(cl, rdd, tree, &metrics);
     }
-    result.breakdown.agg_compute += metrics.compute_time();
-    result.breakdown.agg_reduce += metrics.reduce_time();
+    phases.add_aggregation(metrics);
     result.stage_restarts += metrics.stage_restarts;
     result.loglik_history.push_back(flat[flat.size() - 2]);
-
-    // --- Non-agg: document statistics / bookkeeping pass ---------------------
-    t0 = sim.now();
-    co_await sim.sleep(static_cast<sim::Duration>(
-        cfg.sampling_pass_frac *
-        static_cast<double>(metrics.compute_time())));
-    cl.trace().span_at("phase", "non_agg", obs::kDriverPid, 0, t0, sim.now(),
-                       {{"iter", iter}});
-    result.breakdown.non_agg += sim.now() - t0;
+    // Document statistics / perplexity bookkeeping.
+    co_await phases.sampling_pass(iter, cfg.sampling_pass_frac, metrics);
 
     // --- Driver: M-step ------------------------------------------------------
-    t0 = sim.now();
+    const sim::Time t0 = sim.now();
     co_await sim.sleep(cfg.driver_fixed_per_iter);
     for (int k = 0; k < k_real; ++k) {
       double sum = 0.0;
@@ -184,9 +168,7 @@ sim::Task<LdaResult> train_lda(engine::Cluster& cl,
     }
     co_await sim.sleep(static_cast<sim::Duration>(
         cfg.driver_passes * modeled_cells * cfg.driver_flop_ns));
-    cl.trace().span_at("phase", "driver", obs::kDriverPid, 0, t0, sim.now(),
-                       {{"iter", iter}});
-    result.breakdown.driver += sim.now() - t0;
+    phases.record(obs::Phase::kDriver, iter, t0);
   }
   result.beta = std::move(beta);
   co_return result;

@@ -9,9 +9,35 @@
 
 namespace sparker::ml {
 
-sim::Task<void> broadcast_blob(engine::Cluster& cl, std::uint64_t bytes) {
-  auto token = std::make_shared<int>(0);
-  co_await engine::broadcast_value<int>(cl, token, bytes);
+sim::Task<void> IterationPhases::ship_model(int iter, std::uint64_t bytes,
+                                            bool ship) {
+  const sim::Time t0 = cl_.simulator().now();
+  if (ship) {
+    co_await engine::broadcast_value<int>(cl_, std::make_shared<int>(0),
+                                          bytes);
+    // Nested under the non_agg span: the broadcast share of the bucket, so
+    // fig02 can split it out without changing non_agg itself.
+    record(obs::Phase::kBroadcast, iter, t0);
+  }
+  record(obs::Phase::kNonAgg, iter, t0);
+}
+
+void IterationPhases::add_aggregation(const engine::AggMetrics& m) {
+  breakdown_.add(obs::Phase::kAggCompute, m.compute_time());
+  breakdown_.add(obs::Phase::kAggReduce, m.reduce_time());
+}
+
+sim::Task<void> IterationPhases::sampling_pass(int iter, double frac,
+                                               const engine::AggMetrics& m) {
+  const sim::Time t0 = cl_.simulator().now();
+  co_await cl_.simulator().sleep(static_cast<sim::Duration>(
+      frac * static_cast<double>(m.compute_time())));
+  record(obs::Phase::kNonAgg, iter, t0);
+}
+
+void IterationPhases::record(obs::Phase p, int iter, sim::Time from) {
+  obs::record_phase(cl_.trace(), breakdown_, p, from, cl_.simulator().now(),
+                    {{"iter", iter}});
 }
 
 sim::Task<TrainResult> train_linear(engine::Cluster& cl,
@@ -52,23 +78,13 @@ sim::Task<TrainResult> train_linear(engine::Cluster& cl,
 
   const bool use_split = cl.config().agg_mode == engine::AggMode::kSplit;
   const bool allreduce_mode = cfg.use_allreduce && use_split;
+  IterationPhases phases(cl, result.breakdown);
   for (int iter = 1; iter <= cfg.iterations; ++iter) {
-    // --- Non-agg: broadcast current weights --------------------------------
     // In allreduce mode the model is already resident on every executor
     // after the first iteration; only iteration 1 ships it.
-    sim::Time t0 = sim.now();
-    if (!allreduce_mode || iter == 1) {
-      co_await broadcast_blob(
-          cl, static_cast<std::uint64_t>(modeled_dim) * sizeof(double));
-      // Nested under the non_agg phase span: the broadcast share of the
-      // bucket, so fig02 can split it out without changing non_agg itself.
-      cl.trace().span_at("phase", "broadcast", obs::kDriverPid, 0, t0,
-                         sim.now(), {{"iter", iter}});
-      result.breakdown.broadcast += sim.now() - t0;
-    }
-    cl.trace().span_at("phase", "non_agg", obs::kDriverPid, 0, t0, sim.now(),
-                       {{"iter", iter}});
-    result.breakdown.non_agg += sim.now() - t0;
+    co_await phases.ship_model(
+        iter, static_cast<std::uint64_t>(modeled_dim) * sizeof(double),
+        !allreduce_mode || iter == 1);
 
     // --- Aggregation: distributed gradient ---------------------------------
     auto w_shared = std::make_shared<const DenseVector>(w);
@@ -86,22 +102,13 @@ sim::Task<TrainResult> train_linear(engine::Cluster& cl,
     } else {
       agg = co_await engine::tree_aggregate(cl, rdd, job.tree, &metrics);
     }
-    result.breakdown.agg_compute += metrics.compute_time();
-    result.breakdown.agg_reduce += metrics.reduce_time();
+    phases.add_aggregation(metrics);
     result.task_retries += metrics.task_retries;
     result.stage_restarts += metrics.stage_restarts;
-
-    // --- Non-agg: sampling/summary pass over the data -----------------------
-    t0 = sim.now();
-    co_await sim.sleep(static_cast<sim::Duration>(
-        cfg.sampling_pass_frac *
-        static_cast<double>(metrics.compute_time())));
-    cl.trace().span_at("phase", "non_agg", obs::kDriverPid, 0, t0, sim.now(),
-                       {{"iter", iter}});
-    result.breakdown.non_agg += sim.now() - t0;
+    co_await phases.sampling_pass(iter, cfg.sampling_pass_frac, metrics);
 
     // --- Driver: optimizer update ------------------------------------------
-    t0 = sim.now();
+    const sim::Time t0 = sim.now();
     co_await sim.sleep(cfg.driver_fixed_per_iter);
     const double n = std::max(1.0, agg.count());
     DenseVector grad = agg.gradient_copy();
@@ -125,17 +132,10 @@ sim::Task<TrainResult> train_linear(engine::Cluster& cl,
     }
     co_await sim.sleep(
         static_cast<sim::Duration>(flops * cfg.driver_flop_ns));
-    if (allreduce_mode) {
-      // The update runs as identical replicas on the executors — scalable
-      // work, not driver time.
-      cl.trace().span_at("phase", "non_agg", obs::kDriverPid, 0, t0,
-                         sim.now(), {{"iter", iter}});
-      result.breakdown.non_agg += sim.now() - t0;
-    } else {
-      cl.trace().span_at("phase", "driver", obs::kDriverPid, 0, t0, sim.now(),
-                         {{"iter", iter}});
-      result.breakdown.driver += sim.now() - t0;
-    }
+    // In allreduce mode the update runs as identical replicas on the
+    // executors: scalable work, not driver time.
+    phases.record(allreduce_mode ? obs::Phase::kNonAgg : obs::Phase::kDriver,
+                  iter, t0);
   }
   result.weights = std::move(w);
   co_return result;

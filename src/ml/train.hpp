@@ -8,6 +8,7 @@
 #include "engine/cluster.hpp"
 #include "engine/rdd.hpp"
 #include "ml/linalg.hpp"
+#include "obs/export.hpp"
 #include "sim/task.hpp"
 
 /// \file train.hpp
@@ -16,6 +17,10 @@
 /// uses), on top of either aggregation path. Produces the paper's
 /// four-way time decomposition: Driver / Non-agg / Agg-compute /
 /// Agg-reduce (Figures 2, 3, 4, 18).
+
+namespace sparker::engine {
+struct AggMetrics;
+}  // namespace sparker::engine
 
 namespace sparker::ml {
 
@@ -49,27 +54,9 @@ struct TrainConfig {
   sim::Duration driver_fixed_per_iter = sim::milliseconds(400);
 };
 
-/// The paper's end-to-end decomposition buckets.
-struct TimeBreakdown {
-  sim::Duration driver = 0;       ///< non-scalable driver computation.
-  sim::Duration non_agg = 0;      ///< broadcast & other scalable non-agg.
-  sim::Duration agg_compute = 0;  ///< first stage of each aggregation.
-  sim::Duration agg_reduce = 0;   ///< subsequent stages of each aggregation.
-  /// Model-shipping share of `non_agg` (already counted there — total()
-  /// must not add it again). Split out so fig02 can show how much of the
-  /// non-agg bucket is broadcast.
-  sim::Duration broadcast = 0;
-
-  sim::Duration total() const {
-    return driver + non_agg + agg_compute + agg_reduce;
-  }
-  double agg_fraction() const {
-    const auto t = total();
-    return t == 0 ? 0.0
-                  : static_cast<double>(agg_compute + agg_reduce) /
-                        static_cast<double>(t);
-  }
-};
+/// The paper's end-to-end decomposition buckets: the same type the trace's
+/// phase breakdown fills, so the two compare with ==.
+using TimeBreakdown = obs::PhaseBreakdown;
 
 struct TrainResult {
   DenseVector weights;
@@ -79,10 +66,35 @@ struct TrainResult {
   int stage_restarts = 0;
 };
 
-/// Broadcast of the current model to all executors, through the engine's
-/// block-pipelined torrent broadcast (driver seed + binomial relay over
-/// the scalable communicator's fabric). Charged to the Non-agg bucket.
-sim::Task<void> broadcast_blob(engine::Cluster& cl, std::uint64_t bytes);
+/// The per-iteration bookkeeping the ML drivers share. Each interval is
+/// recorded once, through obs::record_phase, into `breakdown` and (when
+/// tracing) as a phase span tagged with the iteration.
+class IterationPhases {
+ public:
+  IterationPhases(engine::Cluster& cl, TimeBreakdown& breakdown)
+      : cl_(cl), breakdown_(breakdown) {}
+
+  /// Non-agg: ships `bytes` of model to every executor through the
+  /// engine's torrent broadcast (nothing when `ship` is false), recorded
+  /// as its broadcast share and then as non_agg.
+  sim::Task<void> ship_model(int iter, std::uint64_t bytes, bool ship = true);
+
+  /// Adds an aggregation job's stages to agg_compute and agg_reduce (the
+  /// job emits their spans itself).
+  void add_aggregation(const engine::AggMetrics& m);
+
+  /// Non-agg: the sampling/summary pass over the data, modeled as `frac`
+  /// of the aggregation's compute stage.
+  sim::Task<void> sampling_pass(int iter, double frac,
+                                const engine::AggMetrics& m);
+
+  /// Records [from, now) as phase `p` of iteration `iter`.
+  void record(obs::Phase p, int iter, sim::Time from);
+
+ private:
+  engine::Cluster& cl_;
+  TimeBreakdown& breakdown_;
+};
 
 /// Trains a linear model (LR or SVM) over a cached RDD shaped like
 /// `preset`, using the cluster's configured aggregation mode. All math is

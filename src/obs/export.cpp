@@ -218,22 +218,51 @@ FileLintResult lint_chrome_trace_text(const std::string& text) {
   return r;
 }
 
+namespace {
+
+constexpr const char* kPhaseCat = "phase";
+
+/// Span name and bucket of each Phase, indexed by it.
+struct PhaseRow {
+  const char* name;
+  sim::Duration PhaseBreakdown::*bucket;
+};
+constexpr PhaseRow kPhases[] = {
+    {"driver", &PhaseBreakdown::driver},
+    {"non_agg", &PhaseBreakdown::non_agg},
+    {"agg_compute", &PhaseBreakdown::agg_compute},
+    {"agg_reduce", &PhaseBreakdown::agg_reduce},
+    {"broadcast", &PhaseBreakdown::broadcast},
+};
+
+const PhaseRow& row_of(Phase p) {
+  return kPhases[static_cast<std::size_t>(p)];
+}
+
+}  // namespace
+
+void PhaseBreakdown::add(Phase p, sim::Duration d) {
+  this->*row_of(p).bucket += d;
+}
+
+void phase_span(TraceSink& sink, Phase p, sim::Time from, sim::Time to,
+                std::initializer_list<Arg> args) {
+  sink.span_at(kPhaseCat, row_of(p).name, kDriverPid, 0, from, to, args);
+}
+
+void record_phase(TraceSink& sink, PhaseBreakdown& b, Phase p, sim::Time from,
+                  sim::Time to, std::initializer_list<Arg> args) {
+  b.add(p, to - from);
+  phase_span(sink, p, from, to, args);
+}
+
 PhaseBreakdown phase_breakdown(const TraceSink& sink) {
   PhaseBreakdown b;
   for (const TraceEvent& ev : sink.events()) {
     if (ev.kind != EventKind::kSpan || ev.is_open_span()) continue;
-    if (std::strcmp(ev.cat, "phase") != 0) continue;
-    const sim::Duration d = ev.duration();
-    if (std::strcmp(ev.name, "driver") == 0) {
-      b.driver += d;
-    } else if (std::strcmp(ev.name, "non_agg") == 0) {
-      b.non_agg += d;
-    } else if (std::strcmp(ev.name, "agg_compute") == 0) {
-      b.agg_compute += d;
-    } else if (std::strcmp(ev.name, "agg_reduce") == 0) {
-      b.agg_reduce += d;
-    } else if (std::strcmp(ev.name, "broadcast") == 0) {
-      b.broadcast += d;  // nested inside non_agg; informational only
+    if (std::strcmp(ev.cat, kPhaseCat) != 0) continue;
+    for (const PhaseRow& row : kPhases) {
+      if (std::strcmp(ev.name, row.name) == 0) b.*row.bucket += ev.duration();
     }
   }
   return b;

@@ -67,15 +67,19 @@ struct FileLintResult {
 };
 FileLintResult lint_chrome_trace_text(const std::string& text);
 
-/// Wall-clock attribution to the paper's Fig. 2 phases, summed from spans
-/// with category "phase" (emitted by the ML drivers and the aggregation
-/// jobs over exactly the intervals the legacy ad-hoc accounting measured,
-/// so the two agree to the nanosecond).
+/// The paper's Fig. 2 phases of an ML job, plus the broadcast share of
+/// non_agg. Each names one PhaseBreakdown bucket and the category-"phase"
+/// span that records it; the names live in one table in export.cpp.
+enum class Phase { kDriver, kNonAgg, kAggCompute, kAggReduce, kBroadcast };
+
+/// Wall-clock attribution to the phases. The ML drivers fill one through
+/// record_phase(); phase_breakdown() sums one from a trace's phase spans,
+/// and the two agree to the nanosecond.
 struct PhaseBreakdown {
-  sim::Duration driver = 0;
-  sim::Duration non_agg = 0;
-  sim::Duration agg_compute = 0;
-  sim::Duration agg_reduce = 0;
+  sim::Duration driver = 0;       ///< non-scalable driver computation.
+  sim::Duration non_agg = 0;      ///< broadcast & other scalable non-agg.
+  sim::Duration agg_compute = 0;  ///< first stage of each aggregation.
+  sim::Duration agg_reduce = 0;   ///< subsequent stages of each aggregation.
   /// Model-shipping share of `non_agg` ("broadcast" phase spans are nested
   /// inside the same interval as their "non_agg" span). Not part of
   /// total(): the time is already counted in non_agg.
@@ -83,7 +87,21 @@ struct PhaseBreakdown {
   sim::Duration total() const {
     return driver + non_agg + agg_compute + agg_reduce;
   }
+  /// Adds `d` to the bucket of phase `p`.
+  void add(Phase p, sim::Duration d);
+  bool operator==(const PhaseBreakdown&) const = default;
 };
+
+/// Emits the "phase" span of `p` over [from, to) on the driver track.
+void phase_span(TraceSink& sink, Phase p, sim::Time from, sim::Time to,
+                std::initializer_list<Arg> args);
+
+/// Records [from, to) as phase `p`: adds it to `b`'s bucket and emits its
+/// phase span with `args`.
+void record_phase(TraceSink& sink, PhaseBreakdown& b, Phase p, sim::Time from,
+                  sim::Time to, std::initializer_list<Arg> args);
+
+/// Sums the sink's closed "phase" spans into their buckets.
 PhaseBreakdown phase_breakdown(const TraceSink& sink);
 
 /// Busy-time drill-down per category. These are sums of span durations, not

@@ -211,6 +211,25 @@ TEST(Cluster, RingSuccessorIsNextRankOfFreshRing) {
   }
 }
 
+// With heartbeats on, an executor killed but not yet declared dead still
+// holds a rank in the next formation, but ring_successor skips it: a drain
+// never migrates its partials onto a dead executor.
+TEST(Cluster, RingSuccessorSkipsDeadUndetectedExecutor) {
+  Simulator sim;
+  EngineConfig cfg;
+  cfg.health.heartbeats = true;
+  Cluster cl(sim, small_spec(3), cfg);
+  const RingView before = cl.ring().view();
+  const int pred = before.rank_exec[0];
+  const int victim = before.rank_exec[1];
+  cl.faults().kill_node(victim);
+  ASSERT_FALSE(cl.executor_alive(victim));
+  ASSERT_TRUE(cl.executor_usable(victim)) << "not yet declared dead";
+  const RingView after = cl.ring().view();
+  EXPECT_EQ(after.rank_exec, before.rank_exec) << "still ranked";
+  EXPECT_EQ(cl.ring_successor(pred), before.rank_exec[2]);
+}
+
 class AggModeParity : public ::testing::TestWithParam<AggMode> {};
 
 TEST_P(AggModeParity, MatchesSequentialReference) {

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 
 #include "data/generators.hpp"
 #include "data/presets.hpp"
@@ -19,6 +20,7 @@
 #include "ml/train.hpp"
 #include "ml/workload.hpp"
 #include "net/cluster.hpp"
+#include "obs/export.hpp"
 #include "sim/simulator.hpp"
 
 namespace sparker::ml {
@@ -387,6 +389,73 @@ TEST(Workloads, RunWorkloadProducesBreakdown) {
   // The buckets partition total time (up to rounding of the buckets).
   EXPECT_LE(run.breakdown.total(), run.total);
   EXPECT_GT(run.breakdown.total(), run.total * 9 / 10);
+}
+
+// Every interval a driver charges to a bucket is also a "phase" span, so
+// the trace-derived breakdown equals the driver's own to the nanosecond:
+// for both linear models, the allreduce variant and LDA, under every
+// aggregation mode.
+TEST(PhaseAccounting, TraceEqualsBreakdownForEveryDriver) {
+  enum class Driver { kLr, kSvm, kSvmAllreduce, kLda };
+  for (const engine::AggMode mode :
+       {engine::AggMode::kTree, engine::AggMode::kTreeImm,
+        engine::AggMode::kSplit}) {
+    for (const Driver driver :
+         {Driver::kLr, Driver::kSvm, Driver::kSvmAllreduce, Driver::kLda}) {
+      SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)) +
+                   " driver " + std::to_string(static_cast<int>(driver)));
+      Simulator sim;
+      engine::EngineConfig ecfg;
+      ecfg.agg_mode = mode;
+      ecfg.trace.enabled = true;
+      engine::Cluster cl(sim, tiny_spec(), ecfg);
+      TimeBreakdown bd;
+      if (driver == Driver::kLda) {
+        data::DatasetPreset preset = data::enron();
+        preset.real_samples = 96;
+        preset.real_features = 64;
+        preset.real_nnz = 12;
+        auto rdd = make_corpus_rdd(preset, 6, cl.num_executors(), 41);
+        rdd->materialize();
+        LdaConfig cfg;
+        cfg.iterations = 3;
+        cfg.num_topics_real = 4;
+        auto job = [&]() -> Task<LdaResult> {
+          co_return co_await train_lda(cl, *rdd, preset, cfg);
+        };
+        bd = sim.run_task(job()).breakdown;
+      } else {
+        data::DatasetPreset preset = data::avazu();
+        preset.real_samples = 400;
+        preset.real_features = 64;
+        preset.real_nnz = 8;
+        auto rdd = make_classification_rdd(preset, 8, cl.num_executors(), 43);
+        rdd->materialize();
+        TrainConfig cfg;
+        cfg.model = driver == Driver::kLr ? ModelKind::kLogisticRegression
+                                          : ModelKind::kSvm;
+        cfg.use_allreduce = driver == Driver::kSvmAllreduce;
+        cfg.iterations = 3;
+        auto job = [&]() -> Task<TrainResult> {
+          co_return co_await train_linear(cl, *rdd, preset, cfg);
+        };
+        bd = sim.run_task(job()).breakdown;
+      }
+      const obs::PhaseBreakdown ph = obs::phase_breakdown(cl.trace());
+      EXPECT_EQ(ph.driver, bd.driver);
+      EXPECT_EQ(ph.non_agg, bd.non_agg);
+      EXPECT_EQ(ph.agg_compute, bd.agg_compute);
+      EXPECT_EQ(ph.agg_reduce, bd.agg_reduce);
+      EXPECT_EQ(ph.broadcast, bd.broadcast);
+      EXPECT_GT(bd.agg_compute, 0u);
+      EXPECT_GT(bd.non_agg, 0u);
+      EXPECT_GT(bd.broadcast, 0u);
+      EXPECT_EQ(bd.total(),
+                bd.driver + bd.non_agg + bd.agg_compute + bd.agg_reduce);
+      EXPECT_EQ(ph.total(),
+                ph.driver + ph.non_agg + ph.agg_compute + ph.agg_reduce);
+    }
+  }
 }
 
 }  // namespace
