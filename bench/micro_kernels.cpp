@@ -162,6 +162,26 @@ void BM_LdaFoldDocument(benchmark::State& state) {
 }
 BENCHMARK(BM_LdaFoldDocument);
 
+// One corpus as ml::make_corpus_rdd builds it for 192 cores: every
+// partition of a 192-way split, from the preset's planted topics.
+void BM_CorpusPartition(benchmark::State& state) {
+  const auto& preset = state.range(0) == 0 ? data::enron() : data::nytimes();
+  const auto topics = data::make_planted_topics(preset, 10, 5);
+  const int parts = 192;
+  const std::int64_t per_part = preset.real_samples / parts;
+  for (auto _ : state) {
+    for (int pid = 0; pid < parts; ++pid) {
+      auto docs =
+          data::generate_corpus_partition(preset, topics, pid, per_part, 5);
+      benchmark::DoNotOptimize(docs.data());
+    }
+  }
+  state.SetLabel(preset.name);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          parts * per_part * preset.real_nnz * 3);
+}
+BENCHMARK(BM_CorpusPartition)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
 void BM_SimulatorEventThroughput(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulator s;

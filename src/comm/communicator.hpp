@@ -105,19 +105,18 @@ class Communicator {
     net::FaultFabric& faults = fabric_->faults();
     const int src_node = node_of(src);
     const int dst_node = node_of(dst);
-    if (!faults.node_alive(src_node) || !faults.node_alive(dst_node) ||
-        !faults.channel_up(src_node, dst_node, channel)) {
-      return;
-    }
+    if (!faults.node_alive(src_node) || !faults.node_alive(dst_node)) return;
+    const net::FaultFabric::ChannelState link =
+        faults.channel_state(src_node, dst_node, channel);
+    if (!link.up) return;
     // A degraded channel is modeled as extra serialization delay on top of
     // any explicit injected message delay.
-    sim::Duration extra = faults.channel_delay(src_node, dst_node, channel);
-    const double degrade = faults.channel_degrade(src_node, dst_node, channel);
-    if (degrade > 1.0) {
+    sim::Duration extra = link.delay;
+    if (link.degrade > 1.0) {
       extra += static_cast<sim::Duration>(
           static_cast<double>(sim::transfer_time(
               static_cast<double>(m.bytes), link_.stream_bw)) *
-          (degrade - 1.0));
+          (link.degrade - 1.0));
     }
     Path& p = path(src, dst, channel);
     sim::Time ready = simulator().now() + extra;

@@ -1,6 +1,7 @@
 #include "data/generators.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 namespace sparker::data {
@@ -52,6 +53,97 @@ std::vector<ml::LabeledPoint> generate_classification_partition(
   return rows;
 }
 
+std::size_t scan_word(const ml::DenseVector& dist, double u) {
+  std::size_t w = 0;
+  for (; w + 1 < dist.size(); ++w) {
+    u -= dist[w];
+    if (u <= 0.0) break;
+  }
+  return w;
+}
+
+namespace {
+
+// Knuth's TwoSum: s + e == a + b exactly.
+void two_sum(double a, double b, double& s, double& e) {
+  s = a + b;
+  const double bb = s - a;
+  e = (a - (s - bb)) + (b - bb);
+}
+
+}  // namespace
+
+WordCdf::WordCdf(const ml::DenseVector& dist) : size_(dist.size()) {
+  double hi = 0.0;
+  double lo = 0.0;
+  for (const double d : dist) {
+    double s, e;
+    two_sum(hi, d, s, e);
+    two_sum(s, lo + e, hi, lo);
+    if (!(d >= 0.0 && d <= 1.0 && hi < 2.0)) {  // also rejects NaN
+      hi_.clear();
+      lo_.clear();
+      return;
+    }
+    hi_.push_back(hi);
+    lo_.push_back(lo);
+  }
+}
+
+// Why a certified answer equals scan_word's. Write S_w for the exact sum
+// d_0 + ... + d_w and x_w = u - S_w. The scan computes r_{-1} = u and
+// r_w = fl(r_{w-1} - d_w), stopping at the first r_w <= 0. A table exists
+// only when every d_w is in [0, 1], and find() takes only u in [+0, 1). So
+// while the scan runs, r_{w-1} is in [0, 1), r_w in [-1, 1), and each step
+// rounds by at most 2^-53: |r_w - x_w| <= (w+1) 2^-53.
+//
+// The table holds hi_w + lo_w within (w+1) 2^-104 of S_w (each step's
+// TwoSum is exact; only `lo + e`, below 2^-51, rounds), with hi_w < 2 and
+// |lo_w| <= 2^-53. The gap g_w = (u - hi_w) - lo_w rounds twice, each
+// time on a magnitude of at most 2 + 2^-53, so each rounding moves it by at
+// most 2^-53: |g_w - x_w| <= 2 * 2^-53 + (w+1) 2^-104 < 3 * 2^-53.
+//
+// With B = (w+2) 2^-52 = (2w+4) 2^-53, accept w when
+//   - w == V-1, or g_w < -B: then x_w < -(2w+1) 2^-53, so r_w < 0;
+//   - w == 0, or g_{w-1} > B: then x_{w-1} > (2w+1) 2^-53. S is
+//     non-decreasing, so every x_i with i < w is at least that, and each
+//     r_i > x_i - (i+1) 2^-53 > 0: the scan did not stop before w.
+// So the scan stops at w exactly. The binary search only proposes w; the
+// certificate alone decides, so rounding that makes g non-monotone can
+// cost a fallback but never a wrong word.
+std::optional<std::size_t> WordCdf::find(double u) const {
+  // Non-negative doubles order as their bit patterns do, so one unsigned
+  // comparison admits exactly u in [+0, 1) (no -0, NaN or negative).
+  const auto key = std::bit_cast<std::uint64_t>(u);
+  const std::size_t n = hi_.size();
+  if (n == 0 || key >= std::bit_cast<std::uint64_t>(1.0)) return std::nullopt;
+  const auto gap = [&](std::size_t w) { return (u - hi_[w]) - lo_[w]; };
+  // Propose the first w in [0, n-1) with u <= hi_w, or n-1 when there is
+  // none; the answer stays in [base, base + len]. Comparing with hi alone
+  // keeps the loop's dependency chain short; the certificate below reads
+  // the full gap. The comparison is on bits too: an integer comparison
+  // compiles to a mask instead of a branch that mispredicts half the time.
+  const double* base = hi_.data();
+  for (std::size_t len = n - 1; len > 0;) {
+    const std::size_t half = len / 2;
+    const auto hi = std::bit_cast<std::uint64_t>(base[half]);
+    const std::size_t mask = 0 - static_cast<std::size_t>(key > hi);
+    base += (len - half) & mask;
+    len = half;
+  }
+  const auto w = static_cast<std::size_t>(base - hi_.data());
+  const double bound = static_cast<double>(w + 2) * 0x1p-52;
+  if (w + 1 < n && !(gap(w) < -bound)) return std::nullopt;
+  if (w > 0 && !(gap(w - 1) > bound)) return std::nullopt;
+  return w;
+}
+
+std::size_t sample_word(const WordCdf& cdf, const ml::DenseVector& dist,
+                        double u) {
+  if (const auto w = cdf.find(u)) return *w;
+  return scan_word(dist, u);
+}
+
 PlantedTopics make_planted_topics(const DatasetPreset& preset, int num_topics,
                                   std::uint64_t seed) {
   Rng rng(seed ^ 0xabcdef1234567890ull);
@@ -71,6 +163,7 @@ PlantedTopics make_planted_topics(const DatasetPreset& preset, int num_topics,
     double sum = 0.0;
     for (double x : dist) sum += x;
     for (double& x : dist) x /= sum;
+    t.cdf.emplace_back(dist);
   }
   return t;
 }
@@ -80,33 +173,34 @@ std::vector<Document> generate_corpus_partition(const DatasetPreset& preset,
                                                 int partition,
                                                 std::int64_t count,
                                                 std::uint64_t seed) {
+  const std::vector<WordCdf>* cdf = &topics.cdf;
+  std::vector<WordCdf> own;
+  bool fresh = topics.cdf.size() == topics.topic_word.size();
+  for (std::size_t k = 0; fresh && k < topics.cdf.size(); ++k) {
+    fresh = topics.cdf[k].size() == topics.topic_word[k].size();
+  }
+  if (!fresh) {
+    for (const auto& dist : topics.topic_word) own.emplace_back(dist);
+    cdf = &own;
+  }
+
   Rng rng = Rng(seed).split(static_cast<std::uint64_t>(partition) + 101);
   std::vector<Document> docs;
   docs.reserve(static_cast<std::size_t>(count));
-  const auto v = static_cast<std::uint64_t>(preset.real_features);
+  std::vector<std::int32_t> counts(
+      static_cast<std::size_t>(preset.real_features), 0);
   for (std::int64_t d = 0; d < count; ++d) {
     // Two dominant topics per document.
-    const int k1 = static_cast<int>(
+    const auto k1 = static_cast<std::size_t>(
         rng.next_below(static_cast<std::uint64_t>(topics.num_topics)));
-    const int k2 = static_cast<int>(
+    const auto k2 = static_cast<std::size_t>(
         rng.next_below(static_cast<std::uint64_t>(topics.num_topics)));
     const double mix = 0.3 + 0.4 * rng.next_double();
-    std::vector<std::int32_t> counts(static_cast<std::size_t>(v), 0);
     const int tokens = preset.real_nnz * 3;  // raw tokens; distinct ~real_nnz
     for (int t = 0; t < tokens; ++t) {
-      const auto& dist =
-          rng.bernoulli(mix)
-              ? topics.topic_word[static_cast<std::size_t>(k1)]
-              : topics.topic_word[static_cast<std::size_t>(k2)];
-      // Inverse-CDF sample via linear scan on a random threshold; V_real is
-      // small so this stays cheap and fully deterministic.
-      double u = rng.next_double();
-      std::size_t w = 0;
-      for (; w + 1 < dist.size(); ++w) {
-        u -= dist[w];
-        if (u <= 0.0) break;
-      }
-      ++counts[w];
+      const std::size_t k = rng.bernoulli(mix) ? k1 : k2;
+      const double u = rng.next_double();
+      ++counts[sample_word((*cdf)[k], topics.topic_word[k], u)];
     }
     Document doc;
     for (std::size_t w = 0; w < counts.size(); ++w) {
@@ -115,6 +209,7 @@ std::vector<Document> generate_corpus_partition(const DatasetPreset& preset,
         doc.counts.push_back(counts[w]);
       }
     }
+    for (const auto w : doc.word_ids) counts[static_cast<std::size_t>(w)] = 0;
     docs.push_back(std::move(doc));
   }
   return docs;

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "data/presets.hpp"
@@ -45,18 +47,57 @@ std::vector<ml::LabeledPoint> generate_classification_partition(
     const DatasetPreset& preset, const PlantedModel& model, int partition,
     std::int64_t count, std::uint64_t seed);
 
+/// Inverse-CDF draw over a word distribution: subtracts `dist[0]`,
+/// `dist[1]`, ... from `u` in double arithmetic and returns the first word
+/// w <= V-2 where the remainder is <= 0, or V-1 if there is none. This
+/// linear scan defines the corpus generator's output; `sample_word` must
+/// return what it returns.
+std::size_t scan_word(const ml::DenseVector& dist, double u);
+
+/// One word distribution's prefix sums, kept as double-double (hi + lo) so
+/// that a draw is a binary search whose result is certified equal to
+/// `scan_word`'s (DESIGN.md §6, "Corpus sampling").
+class WordCdf {
+ public:
+  explicit WordCdf(const ml::DenseVector& dist);
+
+  /// Length of the distribution the table was built from.
+  std::size_t size() const { return size_; }
+
+  /// `scan_word(dist, u)` when the table can prove it, else nullopt: `u`
+  /// lies too close to a prefix sum, `u` is outside [+0, 1), or `dist` has
+  /// a weight outside [0, 1] (or not finite) or a total of 2 or more.
+  std::optional<std::size_t> find(double u) const;
+
+ private:
+  std::size_t size_ = 0;
+  // Prefix w is hi_[w] + lo_[w]; both are empty when no draw can be
+  // certified.
+  std::vector<double> hi_;
+  std::vector<double> lo_;
+};
+
+/// `scan_word(dist, u)`, by `cdf` when it certifies the draw and by the
+/// scan when it does not. `cdf` must have been built from `dist`.
+std::size_t sample_word(const WordCdf& cdf, const ml::DenseVector& dist,
+                        double u);
+
 /// Topic model ground truth: `topics[k]` is a distribution over the real
 /// vocabulary (concentrated on a band of words per topic).
 struct PlantedTopics {
   int num_topics = 0;
   std::vector<ml::DenseVector> topic_word;  ///< K x V_real.
+  /// One table per topic, built from `topic_word` by make_planted_topics.
+  /// generate_corpus_partition builds its own when this is missing or sized
+  /// differently; code that edits `topic_word` afterwards must clear it.
+  std::vector<WordCdf> cdf;
 };
 
 PlantedTopics make_planted_topics(const DatasetPreset& preset, int num_topics,
                                   std::uint64_t seed);
 
 /// Generates `count` documents for one partition from a 2-topic mixture per
-/// document.
+/// document. Each token is one `sample_word` draw from one of the two.
 std::vector<Document> generate_corpus_partition(const DatasetPreset& preset,
                                                 const PlantedTopics& topics,
                                                 int partition,

@@ -136,11 +136,6 @@ class FaultFabric {
                     heal_after > 0 ? t + heal_after : kNever);
     });
   }
-  bool channel_up(int src, int dst, int channel) const {
-    return !severed(channels_, chan_key(src, dst, channel)) &&
-           !severed(channels_, chan_key(src, dst, -1));
-  }
-
   void delay_channel(int src, int dst, int channel, Duration extra,
                      Time until = kNever) {
     auto& f = channels_[chan_key(src, dst, channel)];
@@ -154,11 +149,6 @@ class FaultFabric {
                     heal_after > 0 ? t + heal_after : kNever);
     });
   }
-  Duration channel_delay(int src, int dst, int channel) const {
-    return delay_of(channels_, chan_key(src, dst, channel)) +
-           delay_of(channels_, chan_key(src, dst, -1));
-  }
-
   /// Multiplies the per-message stream service time of a channel by
   /// `factor` (>= 1): a degraded-but-alive link.
   void degrade_channel(int src, int dst, int channel, double factor,
@@ -174,9 +164,26 @@ class FaultFabric {
                       heal_after > 0 ? t + heal_after : kNever);
     });
   }
-  double channel_degrade(int src, int dst, int channel) const {
-    return degrade_of(channels_, chan_key(src, dst, channel)) *
-           degrade_of(channels_, chan_key(src, dst, -1));
+
+  /// What a message posted now on (src, dst, channel) meets: the faults on
+  /// that channel combined with those on all channels of the pair (-1).
+  struct ChannelState {
+    bool up = true;        ///< neither entry is severed.
+    Duration delay = 0;    ///< sum of both entries' extra delay.
+    double degrade = 1.0;  ///< product of both entries' factors.
+  };
+  ChannelState channel_state(int src, int dst, int channel) const {
+    ChannelState c;
+    // The empty() check skips hashing on a fault-free run, where every
+    // message asks.
+    if (channels_.empty()) return c;
+    const LinkFault* one = lookup(chan_key(src, dst, channel));
+    const LinkFault* all = lookup(chan_key(src, dst, -1));
+    const Time now = sim_->now();
+    c.up = !severed(one, now) && !severed(all, now);
+    c.delay = delay_of(one, now) + delay_of(all, now);
+    c.degrade = degrade_of(one, now) * degrade_of(all, now);
+    return c;
   }
 
   /// Heals every link fault and forgets every death (fresh schedule between
@@ -205,24 +212,18 @@ class FaultFabric {
             << 16) |
            static_cast<std::uint64_t>(static_cast<std::uint16_t>(channel + 1));
   }
-  // The empty() checks skip hashing the key on a fault-free run, where
-  // every message asks.
-  bool severed(const FaultMap& m, std::uint64_t key) const {
-    if (m.empty()) return false;
-    auto it = m.find(key);
-    return it != m.end() && sim_->now() < it->second.severed_until;
+  const LinkFault* lookup(std::uint64_t key) const {
+    auto it = channels_.find(key);
+    return it == channels_.end() ? nullptr : &it->second;
   }
-  Duration delay_of(const FaultMap& m, std::uint64_t key) const {
-    if (m.empty()) return 0;
-    auto it = m.find(key);
-    if (it == m.end() || sim_->now() >= it->second.delay_until) return 0;
-    return it->second.extra_delay;
+  static bool severed(const LinkFault* f, Time now) {
+    return f && now < f->severed_until;
   }
-  double degrade_of(const FaultMap& m, std::uint64_t key) const {
-    if (m.empty()) return 1.0;
-    auto it = m.find(key);
-    if (it == m.end() || sim_->now() >= it->second.degrade_until) return 1.0;
-    return it->second.degrade;
+  static Duration delay_of(const LinkFault* f, Time now) {
+    return f && now < f->delay_until ? f->extra_delay : 0;
+  }
+  static double degrade_of(const LinkFault* f, Time now) {
+    return f && now < f->degrade_until ? f->degrade : 1.0;
   }
 
   sim::Simulator* sim_;

@@ -705,19 +705,52 @@ TEST(FaultFabric, ScheduledEventsApplyAtTheirTime) {
   f.kill_node_at(sim::seconds(1), 0);
   f.sever_channel_at(sim::seconds(2), 0, 1, -1, sim::seconds(1));
   EXPECT_TRUE(f.node_alive(0));
-  EXPECT_TRUE(f.channel_up(0, 1, 0));
+  EXPECT_TRUE(f.channel_state(0, 1, 0).up);
   auto probe = [&](Time t, auto fn) {
     sim.call_at(t, fn);
   };
   probe(sim::milliseconds(1500), [&] {
     EXPECT_FALSE(f.node_alive(0));
-    EXPECT_TRUE(f.channel_up(0, 1, 0));
+    EXPECT_TRUE(f.channel_state(0, 1, 0).up);
   });
   probe(sim::milliseconds(2500), [&] {
-    EXPECT_FALSE(f.channel_up(0, 1, 3));  // -1 severs every channel
+    EXPECT_FALSE(f.channel_state(0, 1, 3).up);  // -1 severs every channel
   });
   probe(sim::milliseconds(3500), [&] {
-    EXPECT_TRUE(f.channel_up(0, 1, 0));  // healed
+    EXPECT_TRUE(f.channel_state(0, 1, 0).up);  // healed
+  });
+  sim.run();
+}
+
+TEST(FaultFabric, ChannelStateCombinesChannelAndPairFaults) {
+  Simulator sim;
+  net::Fabric fabric(sim, {}, 2);
+  auto& f = fabric.faults();
+  f.delay_channel(0, 1, 2, 30, sim::seconds(2));
+  f.delay_channel(0, 1, -1, 4);
+  f.degrade_channel(0, 1, 2, 3.0);
+  f.degrade_channel(0, 1, -1, 1.5, sim::seconds(1));
+  const auto both = f.channel_state(0, 1, 2);
+  EXPECT_TRUE(both.up);
+  EXPECT_EQ(both.delay, 34);
+  EXPECT_EQ(both.degrade, 4.5);
+  const auto pair_only = f.channel_state(0, 1, 0);
+  EXPECT_EQ(pair_only.delay, 4);
+  EXPECT_EQ(pair_only.degrade, 1.5);
+  const auto other_pair = f.channel_state(1, 0, 2);
+  EXPECT_TRUE(other_pair.up);
+  EXPECT_EQ(other_pair.delay, 0);
+  EXPECT_EQ(other_pair.degrade, 1.0);
+  sim.call_at(sim::milliseconds(1500), [&] {
+    const auto later = f.channel_state(0, 1, 2);
+    EXPECT_EQ(later.delay, 34);
+    EXPECT_EQ(later.degrade, 3.0);  // the pair's degrade healed
+    f.sever_channel(0, 1, 2, sim::seconds(3));
+    EXPECT_FALSE(f.channel_state(0, 1, 2).up);
+    EXPECT_TRUE(f.channel_state(0, 1, 1).up);
+  });
+  sim.call_at(sim::milliseconds(2500), [&] {
+    EXPECT_EQ(f.channel_state(0, 1, 2).delay, 4);  // its own delay healed
   });
   sim.run();
 }
